@@ -56,9 +56,6 @@ from .simulation import (
     expand_seeds,
     grid_sweep,
     make_balancer,
-    parallel_dynamic_grid,
-    parallel_grid_sweep,
-    parallel_sweep,
     run_algorithm,
     run_dynamic_grid,
     run_dynamic_scenario,
@@ -163,9 +160,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "grid_sweep",
-    "parallel_sweep",
-    "parallel_grid_sweep",
-    "parallel_dynamic_grid",
     # dynamic workloads
     "EVENT_PROFILES",
     "DynamicEvent",

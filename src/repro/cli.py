@@ -39,6 +39,17 @@ from .tasks.generators import point_load
 __all__ = ["build_parser", "main"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (``--workers``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_fault_tolerance_arguments(command: argparse.ArgumentParser) -> None:
     """The shared self-healing-grid flags (see ``run_cells``)."""
     command.add_argument("--cell-timeout", type=float, default=None,
@@ -131,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     dynamic.add_argument("--seeds", nargs="+", type=int, default=None,
                          help="run a grid of seeds instead of the single --seed "
                               "(shardable with --workers)")
-    dynamic.add_argument("--workers", type=int, default=None,
+    dynamic.add_argument("--workers", type=_positive_int, default=None,
                          help="process-pool size for a --seeds grid "
                               "(default: one per core)")
     dynamic.add_argument("--warmup", type=int, default=0,
@@ -198,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomized-draw mode; 'counter' makes sharded and "
                             "serial runs draw bit-identical randomness")
     sweep.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=_positive_int, default=1,
                        help="shard the per-seed runs over a process pool")
     sweep.add_argument("--legacy-seeding", action="store_true",
                        help="reuse one integer for topology/workload/schedule/"
@@ -240,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="randomized-draw mode; 'counter' makes sharded and "
                            "serial runs draw bit-identical randomness")
     grid.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    grid.add_argument("--workers", type=int, default=None,
+    grid.add_argument("--workers", type=_positive_int, default=None,
                       help="process-pool size (default: one per core); the grid "
                            "is sharded at (cell, seed) granularity")
     grid.add_argument("--legacy-seeding", action="store_true",
@@ -609,45 +620,36 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         bus, tracer, renderer = _instrument(
             args.telemetry, args.trace, args.progress,
             total_cells=len(args.seeds), label="sweep")
-        if args.store:
+        fault_tolerant = (args.cell_timeout is not None
+                          or args.max_retries > 0 or not args.strict)
+        if (args.store or args.workers > 1 or renderer is not None
+                or fault_tolerant):
             from .simulation.parallel import grid_sweep_with_outcomes
-            from .store import RunStore, record_sweep_outcomes
 
             # The outcome envelopes carry per-run timing and worker pids;
-            # traces are recorded so stored runs diff as trajectories.
+            # stored runs also record traces so they diff as trajectories.
             results, outcomes = grid_sweep_with_outcomes(
                 [configuration], args.seeds, workers=args.workers,
-                record_trace=True, legacy_seeding=args.legacy_seeding, bus=bus,
+                record_trace=bool(args.store),
+                legacy_seeding=args.legacy_seeding, bus=bus,
                 progress=renderer, cell_timeout=args.cell_timeout,
                 max_retries=args.max_retries, strict=args.strict)
             result = results[0]
             _report_failed_cells(outcomes)
-            store = RunStore(args.store)
-            record_sweep_outcomes(store, args.store_label, outcomes)
-            _finish_instrumentation(args.trace, tracer, renderer)
-            print(format_table([result.as_row()]))
-            print(f"stored {len(outcomes)} record(s) in {store.path}")
-        else:
-            from .simulation.parallel import parallel_sweep
+            if args.store:
+                from .store import RunStore, record_sweep_outcomes
 
-            fault_tolerant = (args.cell_timeout is not None
-                              or args.max_retries > 0 or not args.strict)
-            if args.workers > 1 or renderer is not None or fault_tolerant:
-                result = parallel_sweep(configuration, args.seeds,
-                                        workers=args.workers,
-                                        legacy_seeding=args.legacy_seeding,
-                                        bus=bus, progress=renderer,
-                                        cell_timeout=args.cell_timeout,
-                                        max_retries=args.max_retries,
-                                        strict=args.strict)
-            else:
-                result = run_sweep(configuration, seeds=args.seeds,
-                                   workers=args.workers,
-                                   legacy_seeding=args.legacy_seeding, bus=bus)
-            _finish_instrumentation(args.trace, tracer, renderer)
-            print(format_table([result.as_row()]))
+                store = RunStore(args.store)
+                record_sweep_outcomes(store, args.store_label, outcomes)
+        else:
+            result = run_sweep(configuration, seeds=args.seeds,
+                               legacy_seeding=args.legacy_seeding, bus=bus)
+        _finish_instrumentation(args.trace, tracer, renderer)
+        print(format_table([result.as_row()]))
+        if args.store:
+            print(f"stored {len(outcomes)} record(s) in {store.path}")
     elif args.command == "grid":
-        from .simulation.parallel import parallel_grid_sweep
+        from .simulation.parallel import grid_sweep_with_outcomes
         from .simulation.sweep import SweepConfiguration
 
         pairs = []
@@ -674,13 +676,11 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         bus, tracer, renderer = _instrument(
             args.telemetry, args.trace, args.progress,
             total_cells=len(configurations) * len(args.seeds), label="grid")
-        results = parallel_grid_sweep(configurations, seeds=args.seeds,
-                                      workers=args.workers,
-                                      legacy_seeding=args.legacy_seeding,
-                                      bus=bus, progress=renderer,
-                                      cell_timeout=args.cell_timeout,
-                                      max_retries=args.max_retries,
-                                      strict=args.strict)
+        results, _ = grid_sweep_with_outcomes(
+            configurations, seeds=args.seeds, workers=args.workers,
+            legacy_seeding=args.legacy_seeding, bus=bus, progress=renderer,
+            cell_timeout=args.cell_timeout, max_retries=args.max_retries,
+            strict=args.strict)
         _finish_instrumentation(args.trace, tracer, renderer)
         print(format_table([result.as_row() for result in results
                             if result.runs]))

@@ -19,10 +19,6 @@ from .parallel import (
     CellOutcome,
     GridCell,
     grid_sweep_with_outcomes,
-    parallel_dynamic_grid,
-    parallel_grid_sweep,
-    parallel_scenario_grid,
-    parallel_sweep,
     run_cells,
 )
 from .results import RunResult
@@ -67,10 +63,6 @@ __all__ = [
     "CellOutcome",
     "run_cells",
     "grid_sweep_with_outcomes",
-    "parallel_sweep",
-    "parallel_grid_sweep",
-    "parallel_scenario_grid",
-    "parallel_dynamic_grid",
     "reporting",
     "ALL_ALGORITHMS",
     "BACKEND_KINDS",

@@ -35,19 +35,23 @@ order**, buffering out-of-order completions — so the relayed stream is
 identical (modulo attribution and wall-clock fields) at any worker count,
 including ``workers=1``, which uses the same capture path.
 
-Dispatch is chunked: cells are handed to workers ``chunksize`` at a time
-(default: about four chunks per worker) to amortise pickling overhead while
-keeping the queue fine-grained enough that one slow cell does not serialise
-the grid.
+One scheduler runs every grid (:func:`run_cells`).  Cells are submitted
+individually from a ready queue; ``workers=1`` submits to an in-process
+executor whose futures complete on submission, so serial and pooled grids
+share the same loop.  The in-flight depth follows from the options: with
+no fault-tolerance option set, two cells per worker are in flight, so a
+worker finds its next cell already queued when it finishes one; with
+``cell_timeout`` / ``max_retries`` / ``faults`` / ``strict=False`` set, the
+depth drops to one per worker, so every in-flight cell is executing — the
+per-cell timeout clock measures execution, not queueing, and a worker crash
+is attributed only to cells that were running.
 
-The driver is optionally **self-healing**: with ``cell_timeout`` /
-``max_retries`` / ``strict=False`` set, cells are submitted individually,
-failed attempts (in-cell exceptions, timeouts, worker crashes up to and
-including a broken pool, which is rebuilt) are retried with exponential
-backoff, and a grid degrades to partial results plus a structured
-:class:`CellFailure` report instead of losing everything — see
-:func:`run_cells`.  Because cells are pure functions of their specs, a
-fault-recovered grid is bit-identical to a fault-free one.
+The scheduler is **self-healing** on request: failed attempts (in-cell
+exceptions, timeouts, worker crashes up to and including a broken pool,
+which is rebuilt) are retried with exponential backoff, and a grid can
+degrade to partial results plus a structured :class:`CellFailure` report
+instead of losing everything.  Because cells are pure functions of their
+specs, a fault-recovered grid is bit-identical to a fault-free one.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import heapq
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -77,11 +81,9 @@ __all__ = [
     "default_workers",
     "run_cells",
     "failed_cells",
-    "parallel_sweep",
-    "parallel_grid_sweep",
+    "sweep_cells",
+    "scenario_cells",
     "grid_sweep_with_outcomes",
-    "parallel_scenario_grid",
-    "parallel_dynamic_grid",
     "timing_summary",
 ]
 
@@ -144,12 +146,12 @@ class CellOutcome:
     cell ran with telemetry capture, ``events`` holds its complete in-worker
     event stream for the driver to relay.
 
-    Under the fault-tolerant scheduler, ``attempts`` counts executions
-    (1 = first try succeeded) and ``retry_seconds`` the driver-side
-    wall-clock burnt by failed attempts — kept separate from ``seconds`` so
-    utilization never double-counts a retried cell.  A permanently failed
-    cell (non-strict mode only) has ``result=None``, ``worker_pid=-1`` and
-    its :class:`CellFailure` attached.
+    ``attempts`` counts executions (1 = first try succeeded) and
+    ``retry_seconds`` the driver-side wall-clock burnt by failed attempts —
+    kept separate from ``seconds`` so utilization never double-counts a
+    retried cell.  A permanently failed cell (non-strict mode only) has
+    ``result=None``, ``worker_pid=-1`` and its :class:`CellFailure`
+    attached.
     """
 
     cell: GridCell
@@ -214,11 +216,6 @@ def _execute_cell(cell: GridCell, capture: bool = False,
                        events=recorder.events if recorder is not None else None)
 
 
-def _execute_chunk(cells: Sequence[GridCell], capture: bool) -> List[CellOutcome]:
-    """Pool entry point: run one contiguous chunk of cells in this worker."""
-    return [_execute_cell(cell, capture=capture) for cell in cells]
-
-
 def _available_cores() -> int:
     """Cores this process may actually use (affinity/cgroup aware)."""
     try:
@@ -230,12 +227,6 @@ def _available_cores() -> int:
 def default_workers(num_cells: int) -> int:
     """The default pool size: one worker per usable core, never more than cells."""
     return max(1, min(num_cells, _available_cores()))
-
-
-def _chunksize(num_cells: int, workers: int) -> int:
-    # ~4 chunks per worker: coarse enough to amortise dispatch, fine enough
-    # that the tail of the grid still load-balances across the pool.
-    return max(1, num_cells // (workers * 4))
 
 
 def _cell_label(cell: GridCell) -> str:
@@ -281,139 +272,41 @@ def _deliver(bus, outcome: CellOutcome, position: int) -> None:
     _emit_cell_done(bus, outcome, position)
 
 
-def run_cells(cells: Sequence[GridCell], workers: Optional[int] = None,
-              chunksize: Optional[int] = None, bus=None,
-              capture: Optional[bool] = None,
-              progress=None,
-              cell_timeout: Optional[float] = None,
-              max_retries: int = 0,
-              strict: bool = True,
-              faults: Optional[FaultPlan] = None,
-              retry_backoff: float = 0.05) -> List[CellOutcome]:
-    """Execute a list of grid cells, sharded across a process pool.
+# ---------------------------------------------------------------------- #
+# scheduling
+# ---------------------------------------------------------------------- #
 
-    Returns one :class:`CellOutcome` per cell **in input order** regardless
-    of completion order (the contract that makes merges deterministic).
-    ``workers=None`` uses one worker per available core; ``workers=1`` runs
-    serially in-process, which is also the fallback for single-cell grids.
 
-    ``bus`` receives the run's telemetry on the driver side.  When the bus
-    has a subscriber (or ``capture=True`` is forced), workers capture their
-    in-cell event streams and the driver relays them — every round, kernel
-    and recouple event, tagged with ``(worker, cell, cell_seed)`` — followed
-    by one ``cell_done`` envelope per cell.  Relay order is cell input
-    order at any worker count: out-of-order completions are buffered until
-    their predecessors have been delivered.  ``capture=False`` restores the
-    envelope-only behaviour.
+class _InlineExecutor:
+    """The ``workers=1`` executor: runs each submitted cell in-process.
 
-    ``progress`` is an optional callback with an ``update(worker_pid=...,
-    seconds=...)`` method (see :class:`repro.obs.progress.GridProgress`),
-    invoked in *completion* order so the status line moves in real time.
-
-    Fault tolerance (any of ``cell_timeout``/``max_retries``/``faults``
-    set, or ``strict=False``) switches to the self-healing scheduler:
-
-    * cells are submitted one at a time (never more in flight than
-      workers, so the per-cell clock starts at execution start);
-    * a failed attempt — an in-cell exception, a cell running past
-      ``cell_timeout`` seconds, or a worker crash (``BrokenProcessPool``,
-      after which the pool is rebuilt) — is retried up to ``max_retries``
-      times with exponential backoff (base ``retry_backoff`` seconds) and
-      deterministic jitter, emitting a ``cell_retry`` event per retry;
-    * a cell whose retries are exhausted raises under ``strict=True``
-      (today's behaviour) or, under ``strict=False``, yields a
-      ``result=None`` outcome with a :class:`CellFailure` attached and a
-      ``cell_failed`` event — the grid degrades to partial results (see
-      :func:`failed_cells`) instead of losing everything.
-
-    Because every retry re-executes the same pure per-cell function,
-    fault-recovered grids are bit-identical to fault-free ones.  With
-    ``workers=1`` there is no pool to police: retries work but
-    ``cell_timeout`` is not enforced, and a kill fault would take the
-    driver down (fault plans are test instruments — see
+    ``submit`` executes the call before returning and hands back an already
+    completed :class:`~concurrent.futures.Future`, so serial grids go
+    through the same scheduling loop as pooled ones.  There is no worker to
+    police: a cell cannot be timed out, and a kill fault takes the driver
+    down with it (fault plans are test instruments — see
     :mod:`repro.faults`).
     """
-    cells = list(cells)
-    if not cells:
-        return []
-    if workers is not None and workers < 1:
-        raise ExperimentError("workers must be at least 1")
-    if max_retries < 0:
-        raise ExperimentError("max_retries must be non-negative")
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise ExperimentError("cell_timeout must be positive")
-    if workers is None:
-        workers = default_workers(len(cells))
-    workers = min(workers, len(cells))
-    if capture is None:
-        capture = bus is not None and bus.active
-    fault_tolerant = (cell_timeout is not None or max_retries > 0
-                      or not strict
-                      or (faults is not None and not faults.empty))
-    if workers == 1:
-        if fault_tolerant:
-            return _run_cells_serial_tolerant(
-                cells, bus, capture, progress, max_retries=max_retries,
-                strict=strict, faults=faults, retry_backoff=retry_backoff)
-        outcomes: List[CellOutcome] = []
-        for position, cell in enumerate(cells):
-            outcome = _execute_cell(cell, capture=capture)
-            _deliver(bus, outcome, position)
-            if progress is not None:
-                progress.update(worker_pid=outcome.worker_pid,
-                                seconds=outcome.seconds)
-            outcomes.append(outcome)
-        return outcomes
-    if fault_tolerant:
-        return _run_cells_fault_tolerant(
-            cells, workers, bus, capture, progress,
-            cell_timeout=cell_timeout, max_retries=max_retries,
-            strict=strict, faults=faults, retry_backoff=retry_backoff)
-    if chunksize is None:
-        chunksize = _chunksize(len(cells), workers)
-    chunks = [cells[offset:offset + chunksize]
-              for offset in range(0, len(cells), chunksize)]
-    slots: List[Optional[CellOutcome]] = [None] * len(cells)
-    next_delivery = 0
-    executor = ProcessPoolExecutor(max_workers=workers)
-    try:
-        pending = {executor.submit(_execute_chunk, chunk, capture): offset
-                   for offset, chunk in zip(
-                       range(0, len(cells), chunksize), chunks)}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                offset = pending.pop(future)
-                for position, outcome in enumerate(future.result()):
-                    slots[offset + position] = outcome
-                    if progress is not None:
-                        progress.update(worker_pid=outcome.worker_pid,
-                                        seconds=outcome.seconds)
-                # deliver the completed prefix, keeping relay order == input
-                # order regardless of which chunk finished first
-                while next_delivery < len(slots) \
-                        and slots[next_delivery] is not None:
-                    _deliver(bus, slots[next_delivery], next_delivery)
-                    next_delivery += 1
-    except KeyboardInterrupt:
-        _abandon_pool(executor)
-        raise
-    executor.shutdown(wait=True)
-    return list(slots)
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Nothing runs in the background, so there is nothing to stop."""
 
 
-# ---------------------------------------------------------------------- #
-# fault-tolerant scheduling
-# ---------------------------------------------------------------------- #
-
-
-def _abandon_pool(executor: ProcessPoolExecutor) -> None:
+def _abandon_pool(executor: Union[ProcessPoolExecutor, _InlineExecutor]) -> None:
     """Tear a pool down without waiting: cancel queued work, kill workers.
 
-    Used on KeyboardInterrupt (don't block the user's ^C behind running
-    cells) and when a cell must be timed out — a running future cannot be
-    cancelled, so the only enforcement mechanism a process pool offers is
-    terminating the worker processes themselves.
+    Used on a strict failure or KeyboardInterrupt (don't block the caller
+    behind running cells) and when a cell must be timed out — a running
+    future cannot be cancelled, so the only enforcement mechanism a process
+    pool offers is terminating the worker processes themselves.
     """
     for process in list(getattr(executor, "_processes", {}).values()):
         process.terminate()
@@ -434,7 +327,7 @@ def _backoff_delay(retry_backoff: float, position: int, attempt: int) -> float:
 
 
 class _RetryState:
-    """Driver-side bookkeeping shared by the tolerant schedulers.
+    """Driver-side retry bookkeeping for :func:`run_cells`.
 
     Tracks wasted seconds per cell, emits ``cell_retry``/``cell_failed``
     telemetry, notifies the progress renderer, and decides retry vs
@@ -450,7 +343,6 @@ class _RetryState:
         self.strict = strict
         self.retry_backoff = retry_backoff
         self.wasted: Dict[int, float] = {}
-        self.retries = 0
 
     def _emit(self, kind: str, position: int, attempt: int, failure_kind: str,
               message: str, **extra) -> None:
@@ -475,7 +367,6 @@ class _RetryState:
         """
         self.wasted[position] = self.wasted.get(position, 0.0) + elapsed
         if attempt <= self.max_retries:
-            self.retries += 1
             self._emit("cell_retry", position, attempt, kind, message,
                        next_attempt=attempt + 1)
             if hasattr(self.progress, "note_retry"):
@@ -510,67 +401,92 @@ class _RetryState:
         return _backoff_delay(self.retry_backoff, position, attempt)
 
 
-def _run_cells_serial_tolerant(cells: Sequence[GridCell], bus, capture,
-                               progress, max_retries: int, strict: bool,
-                               faults: Optional[FaultPlan],
-                               retry_backoff: float) -> List[CellOutcome]:
-    """The in-process (workers=1) retry path; no timeout enforcement."""
-    state = _RetryState(cells, bus, progress, max_retries, strict,
-                        retry_backoff)
-    outcomes: List[CellOutcome] = []
-    for position, cell in enumerate(cells):
-        attempt = 1
-        while True:
-            started = time.perf_counter()  # repro: allow[R002] cell timing envelope
-            try:
-                outcome = _execute_cell(cell, capture=capture, faults=faults,
-                                        position=position, attempt=attempt)
-            except Exception as exc:
-                retry, failed = state.note_failure(
-                    position, attempt, "error",
-                    f"{type(exc).__name__}: {exc}",
-                    # repro: allow[R002] failure timing envelope
-                    elapsed=time.perf_counter() - started, exc=exc)
-                if retry:
-                    time.sleep(state.delay(position, attempt))
-                    attempt += 1
-                    continue
-                outcome = failed
-            else:
-                state.finish(outcome, attempt, position)
-                if progress is not None:
-                    progress.update(worker_pid=outcome.worker_pid,
-                                    seconds=outcome.seconds)
-            break
-        _deliver(bus, outcome, position)
-        outcomes.append(outcome)
-    return outcomes
+def run_cells(cells: Sequence[GridCell], workers: Optional[int] = None,
+              bus=None, capture: Optional[bool] = None,
+              progress=None,
+              cell_timeout: Optional[float] = None,
+              max_retries: int = 0,
+              strict: bool = True,
+              faults: Optional[FaultPlan] = None,
+              retry_backoff: float = 0.05) -> List[CellOutcome]:
+    """Execute a list of grid cells, sharded across a process pool.
 
+    Returns one :class:`CellOutcome` per cell **in input order** regardless
+    of completion order (the contract that makes merges deterministic).
+    ``workers=None`` uses one worker per available core; ``workers=1`` runs
+    the cells in-process, which is also what single-cell grids do.
 
-def _run_cells_fault_tolerant(cells: Sequence[GridCell], workers: int, bus,
-                              capture, progress, cell_timeout: Optional[float],
-                              max_retries: int, strict: bool,
-                              faults: Optional[FaultPlan],
-                              retry_backoff: float) -> List[CellOutcome]:
-    """The self-healing pool scheduler: per-cell submission, timeout, retry.
+    ``bus`` receives the run's telemetry on the driver side.  When the bus
+    has a subscriber (or ``capture=True`` is forced), workers capture their
+    in-cell event streams and the driver relays them — every round, kernel
+    and recouple event, tagged with ``(worker, cell, cell_seed)`` — followed
+    by one ``cell_done`` envelope per cell.  Relay order is cell input
+    order at any worker count: out-of-order completions are buffered until
+    their predecessors have been delivered.  ``capture=False`` restores the
+    envelope-only behaviour.
 
-    Cells are submitted individually with in-flight count capped at the
-    worker count, so a submitted cell starts executing (nearly) immediately
-    and ``cell_timeout`` measures execution, not queueing.  Three failure
-    modes are handled:
+    ``progress`` is an optional callback with an ``update(worker_pid=...,
+    seconds=...)`` method (see :class:`repro.obs.progress.GridProgress`),
+    invoked in *completion* order so the status line moves in real time.
 
-    * the future raises an ordinary exception → that attempt failed;
-    * the pool breaks (a worker died) → every in-flight cell is charged an
-      attempt (the pool cannot say which cell crashed it), the pool is
-      rebuilt, survivors are resubmitted;
-    * a cell exceeds ``cell_timeout`` → the pool is killed (running futures
-      cannot be cancelled), the overdue cells are charged an attempt, and
-      the collateral in-flight cells are resubmitted **without** being
-      charged — they did not fail.
+    One scheduling loop serves every grid.  Cells wait in a ready queue and
+    are submitted one at a time, with at most ``depth`` in flight:
 
-    Delivery (relay + ``cell_done``) stays in input order exactly as on the
-    fast path.
+    * ``depth = 2 * workers`` by default, so each worker has its next cell
+      queued when it finishes one;
+    * ``depth = workers`` when any fault-tolerance option is set
+      (``cell_timeout``, ``max_retries``, a non-empty ``faults`` plan, or
+      ``strict=False``), so every in-flight cell is executing: the per-cell
+      clock starts at execution start, and a worker crash is charged only
+      to cells that were running.
+
+    Failure handling is the same at either depth:
+
+    * a failed attempt — an in-cell exception, a cell running past
+      ``cell_timeout`` seconds, or a worker crash (``BrokenProcessPool``,
+      after which the pool is rebuilt) — is retried up to ``max_retries``
+      times with exponential backoff (base ``retry_backoff`` seconds) and
+      deterministic jitter, emitting a ``cell_retry`` event per retry;
+    * when a cell times out, the pool is killed (running futures cannot be
+      cancelled), the overdue cells are charged an attempt, and the other
+      in-flight cells are resubmitted **without** being charged;
+    * a cell whose retries are exhausted raises under ``strict=True`` (the
+      cell's own exception, or :class:`~repro.exceptions.ExperimentError`
+      for a timeout or crash) or, under ``strict=False``, yields a
+      ``result=None`` outcome with a :class:`CellFailure` attached and a
+      ``cell_failed`` event — the grid degrades to partial results (see
+      :func:`failed_cells`) instead of losing everything.
+
+    A strict failure or ``^C`` tears the pool down without waiting for the
+    cells still running.  Because every retry re-executes the same pure
+    per-cell function, fault-recovered grids are bit-identical to
+    fault-free ones.  With ``workers=1`` there is no pool to police:
+    retries work but ``cell_timeout`` is not enforced.
     """
+    cells = list(cells)
+    if not cells:
+        return []
+    if workers is not None and workers < 1:
+        raise ExperimentError("workers must be at least 1")
+    if max_retries < 0:
+        raise ExperimentError("max_retries must be non-negative")
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise ExperimentError("cell_timeout must be positive")
+    if workers is None:
+        workers = default_workers(len(cells))
+    workers = min(workers, len(cells))
+    if capture is None:
+        capture = bus is not None and bus.active
+    fault_tolerant = (cell_timeout is not None or max_retries > 0
+                      or not strict
+                      or (faults is not None and not faults.empty))
+    depth = workers if fault_tolerant else 2 * workers
+
+    def new_executor():
+        if workers == 1:
+            return _InlineExecutor()
+        return ProcessPoolExecutor(max_workers=workers)
+
     state = _RetryState(cells, bus, progress, max_retries, strict,
                         retry_backoff)
     slots: List[Optional[CellOutcome]] = [None] * len(cells)
@@ -579,8 +495,8 @@ def _run_cells_fault_tolerant(cells: Sequence[GridCell], workers: int, bus,
     ready: List[Tuple[float, int, int]] = [
         (0.0, position, 1) for position in range(len(cells))]
     heapq.heapify(ready)
-    inflight: Dict[object, Tuple[int, int, float]] = {}
-    executor = ProcessPoolExecutor(max_workers=workers)
+    inflight: Dict[Future, Tuple[int, int, float]] = {}
+    executor = new_executor()
 
     def settle(position: int, attempt: int, kind: str, message: str,
                elapsed: float, exc: Optional[BaseException] = None) -> None:
@@ -598,12 +514,14 @@ def _run_cells_fault_tolerant(cells: Sequence[GridCell], workers: int, bus,
     try:
         while ready or inflight:
             now = time.monotonic()  # repro: allow[R002] dispatch deadline clock
-            while ready and len(inflight) < workers and ready[0][0] <= now:
+            while ready and len(inflight) < depth and ready[0][0] <= now:
                 _, position, attempt = heapq.heappop(ready)
+                # read before submitting: the inline executor runs the cell
+                # repro: allow[R002] cell-timeout deadline bookkeeping
+                started = time.monotonic()
                 future = executor.submit(_execute_cell, cells[position],
                                          capture, faults, position, attempt)
-                # repro: allow[R002] cell-timeout deadline bookkeeping
-                inflight[future] = (position, attempt, time.monotonic())
+                inflight[future] = (position, attempt, started)
             if not inflight:
                 # everything runnable is waiting out its backoff
                 # repro: allow[R002] retry-backoff wait (driver scheduling)
@@ -615,7 +533,7 @@ def _run_cells_fault_tolerant(cells: Sequence[GridCell], workers: int, bus,
                                for _, _, started in inflight.values())
                 # repro: allow[R002] cell-timeout deadline (driver scheduling)
                 timeout = max(0.0, deadline - time.monotonic())
-            if ready and len(inflight) < workers:
+            if ready and len(inflight) < depth:
                 # repro: allow[R002] retry-backoff deadline (driver scheduling)
                 until_ready = max(0.0, ready[0][0] - time.monotonic())
                 timeout = until_ready if timeout is None \
@@ -623,7 +541,8 @@ def _run_cells_fault_tolerant(cells: Sequence[GridCell], workers: int, bus,
             done, _ = wait(set(inflight), timeout=timeout,
                            return_when=FIRST_COMPLETED)
             broken = False
-            for future in done:
+            # input order within a batch keeps settling deterministic
+            for future in sorted(done, key=lambda future: inflight[future][0]):
                 position, attempt, started = inflight.pop(future)
                 # repro: allow[R002] attempt timing envelope
                 elapsed = time.monotonic() - started
@@ -651,7 +570,7 @@ def _run_cells_fault_tolerant(cells: Sequence[GridCell], workers: int, bus,
                            time.monotonic() - started)
                 inflight.clear()
                 _abandon_pool(executor)
-                executor = ProcessPoolExecutor(max_workers=workers)
+                executor = new_executor()
             elif cell_timeout is not None and inflight:
                 # repro: allow[R002] cell-timeout overdue scan
                 now = time.monotonic()
@@ -668,7 +587,7 @@ def _run_cells_fault_tolerant(cells: Sequence[GridCell], workers: int, bus,
                         heapq.heappush(ready, (0.0, position, attempt))
                     inflight.clear()
                     _abandon_pool(executor)
-                    executor = ProcessPoolExecutor(max_workers=workers)
+                    executor = new_executor()
             while next_delivery < len(slots) \
                     and slots[next_delivery] is not None:
                 _deliver(bus, slots[next_delivery], next_delivery)
@@ -774,53 +693,6 @@ def _merge_sweeps(configurations: Sequence[SweepConfiguration],
     return results
 
 
-def parallel_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
-                   workers: Optional[int] = None, record_trace: bool = False,
-                   max_rounds: int = 200_000,
-                   legacy_seeding: bool = False, bus=None,
-                   capture: Optional[bool] = None,
-                   progress=None,
-                   cell_timeout: Optional[float] = None,
-                   max_retries: int = 0, strict: bool = True,
-                   faults: Optional[FaultPlan] = None) -> SweepResult:
-    """Sharded :func:`~repro.simulation.sweep.run_sweep`: one cell per seed.
-
-    Bit-identical to ``run_sweep(configuration, seeds, ...)`` for every
-    worker count — the pool executes the same :func:`run_sweep_cell` calls
-    and the merge preserves seed order.
-    """
-    cells = sweep_cells([configuration], seeds, record_trace=record_trace,
-                        max_rounds=max_rounds, legacy_seeding=legacy_seeding)
-    outcomes = run_cells(cells, workers=workers, bus=bus, capture=capture,
-                         progress=progress, cell_timeout=cell_timeout,
-                         max_retries=max_retries, strict=strict, faults=faults)
-    return _merge_sweeps([configuration], outcomes)[0]
-
-
-def parallel_grid_sweep(configurations: Sequence[SweepConfiguration],
-                        seeds: Sequence[int], workers: Optional[int] = None,
-                        legacy_seeding: bool = False, bus=None,
-                        capture: Optional[bool] = None,
-                        progress=None,
-                        cell_timeout: Optional[float] = None,
-                        max_retries: int = 0, strict: bool = True,
-                        faults: Optional[FaultPlan] = None) -> List[SweepResult]:
-    """Shard a whole configuration grid at (cell, seed) granularity.
-
-    All ``len(configurations) * len(seeds)`` runs share one work queue, so a
-    single expensive cell cannot serialise the grid the way per-cell
-    parallelism would.  Results come back as one
-    :class:`~repro.simulation.sweep.SweepResult` per configuration, in
-    configuration order, bit-identical to the serial nested loop.
-    """
-    configurations = list(configurations)
-    cells = sweep_cells(configurations, seeds, legacy_seeding=legacy_seeding)
-    outcomes = run_cells(cells, workers=workers, bus=bus, capture=capture,
-                         progress=progress, cell_timeout=cell_timeout,
-                         max_retries=max_retries, strict=strict, faults=faults)
-    return _merge_sweeps(configurations, outcomes)
-
-
 def grid_sweep_with_outcomes(configurations: Sequence[SweepConfiguration],
                              seeds: Sequence[int], workers: Optional[int] = None,
                              record_trace: bool = False,
@@ -829,18 +701,22 @@ def grid_sweep_with_outcomes(configurations: Sequence[SweepConfiguration],
                              progress=None,
                              cell_timeout: Optional[float] = None,
                              max_retries: int = 0, strict: bool = True,
-                             faults: Optional[FaultPlan] = None):
-    """Like :func:`parallel_grid_sweep`, also returning the raw envelopes.
+                             faults: Optional[FaultPlan] = None,
+                             max_rounds: int = 200_000):
+    """Shard a configuration x seed grid and merge it per configuration.
 
-    Returns ``(sweep_results, outcomes)``: the merged per-configuration
-    :class:`~repro.simulation.sweep.SweepResult` list plus the flat
-    :class:`CellOutcome` list in cell order — what the run store needs to
-    record each run together with its timing envelope
+    All ``len(configurations) * len(seeds)`` runs share one work queue, so a
+    single expensive configuration cannot serialise the grid.  Returns
+    ``(sweep_results, outcomes)``: one
+    :class:`~repro.simulation.sweep.SweepResult` per configuration, in
+    configuration order and bit-identical to the serial nested loop, plus
+    the flat :class:`CellOutcome` list in cell order — what the run store
+    needs to record each run together with its timing envelope
     (:func:`repro.store.record_sweep_outcomes`).
     """
     configurations = list(configurations)
     cells = sweep_cells(configurations, seeds, record_trace=record_trace,
-                        legacy_seeding=legacy_seeding)
+                        max_rounds=max_rounds, legacy_seeding=legacy_seeding)
     outcomes = run_cells(cells, workers=workers, bus=bus, capture=capture,
                          progress=progress, cell_timeout=cell_timeout,
                          max_retries=max_retries, strict=strict, faults=faults)
@@ -852,57 +728,9 @@ def grid_sweep_with_outcomes(configurations: Sequence[SweepConfiguration],
 # ---------------------------------------------------------------------- #
 
 
-def _scenario_grid(kind: str, scenarios, workers: Optional[int], bus=None,
-                   capture: Optional[bool] = None,
-                   progress=None,
-                   cell_timeout: Optional[float] = None,
-                   max_retries: int = 0, strict: bool = True,
-                   faults: Optional[FaultPlan] = None) -> List[Optional[RunResult]]:
-    cells = [GridCell(kind=kind, spec=scenario, index=index)
-             for index, scenario in enumerate(scenarios)]
-    return [outcome.result
-            for outcome in run_cells(cells, workers=workers, bus=bus,
-                                     capture=capture, progress=progress,
-                                     cell_timeout=cell_timeout,
-                                     max_retries=max_retries, strict=strict,
-                                     faults=faults)]
-
-
-def parallel_scenario_grid(scenarios: Sequence[Scenario],
-                           workers: Optional[int] = None, bus=None,
-                           capture: Optional[bool] = None,
-                           progress=None,
-                           cell_timeout: Optional[float] = None,
-                           max_retries: int = 0, strict: bool = True,
-                           faults: Optional[FaultPlan] = None) -> List[Optional[RunResult]]:
-    """Run a list of static scenarios across a process pool (input order).
-
-    Under ``strict=False`` a permanently failed scenario's slot holds
-    ``None`` so the surviving results keep their input positions.
-    """
-    return _scenario_grid(_SCENARIO, scenarios, workers, bus=bus,
-                          capture=capture, progress=progress,
-                          cell_timeout=cell_timeout, max_retries=max_retries,
-                          strict=strict, faults=faults)
-
-
-def parallel_dynamic_grid(scenarios: Sequence[DynamicScenario],
-                          workers: Optional[int] = None, bus=None,
-                          capture: Optional[bool] = None,
-                          progress=None,
-                          cell_timeout: Optional[float] = None,
-                          max_retries: int = 0, strict: bool = True,
-                          faults: Optional[FaultPlan] = None) -> List[Optional[RunResult]]:
-    """Run a list of dynamic scenarios across a process pool (input order).
-
-    The per-scenario trajectories (``trace_max_min`` etc.) are bit-identical
-    to serial :func:`~repro.simulation.scenario.run_dynamic_scenario` calls;
-    with ``rng_mode="counter"`` this holds exactly for the randomized
-    algorithms too, which is what makes many-seed recovery-time statistics
-    cheap to scale out.  Under ``strict=False`` a permanently failed
-    scenario's slot holds ``None`` (see :func:`run_cells`).
-    """
-    return _scenario_grid(_DYNAMIC, scenarios, workers, bus=bus,
-                          capture=capture, progress=progress,
-                          cell_timeout=cell_timeout, max_retries=max_retries,
-                          strict=strict, faults=faults)
+def scenario_cells(scenarios: Sequence[Union[Scenario, DynamicScenario]]
+                   ) -> List[GridCell]:
+    """One cell per static or dynamic scenario, in input order."""
+    return [GridCell(kind=_DYNAMIC if isinstance(scenario, DynamicScenario)
+                     else _SCENARIO, spec=scenario, index=index)
+            for index, scenario in enumerate(scenarios)]

@@ -496,13 +496,12 @@ def run_scenario_grid(scenarios: Sequence[Scenario],
     captured and relayed whenever the bus has a subscriber; under
     ``strict=False`` a failed scenario's slot holds ``None``).
     """
-    from .parallel import parallel_scenario_grid
+    from .parallel import run_cells, scenario_cells
 
-    return parallel_scenario_grid(scenarios, workers=workers, bus=bus,
-                                  capture=capture, progress=progress,
-                                  cell_timeout=cell_timeout,
-                                  max_retries=max_retries, strict=strict,
-                                  faults=faults)
+    return [outcome.result for outcome in run_cells(
+        scenario_cells(scenarios), workers=workers, bus=bus, capture=capture,
+        progress=progress, cell_timeout=cell_timeout, max_retries=max_retries,
+        strict=strict, faults=faults)]
 
 
 def run_dynamic_grid(scenarios: Sequence[DynamicScenario],
@@ -520,12 +519,12 @@ def run_dynamic_grid(scenarios: Sequence[DynamicScenario],
     under ``rng_mode="counter"``).  Each scenario's ``seeding`` mode travels
     with it into the workers; ``bus``/``capture``/``progress`` and the
     fault-tolerance knobs behave as in
-    :func:`repro.simulation.parallel.run_cells`.
+    :func:`repro.simulation.parallel.run_cells` (under ``strict=False`` a
+    failed scenario's slot holds ``None``).
     """
-    from .parallel import parallel_dynamic_grid
+    from .parallel import run_cells, scenario_cells
 
-    return parallel_dynamic_grid(scenarios, workers=workers, bus=bus,
-                                 capture=capture, progress=progress,
-                                 cell_timeout=cell_timeout,
-                                 max_retries=max_retries, strict=strict,
-                                 faults=faults)
+    return [outcome.result for outcome in run_cells(
+        scenario_cells(scenarios), workers=workers, bus=bus, capture=capture,
+        progress=progress, cell_timeout=cell_timeout, max_retries=max_retries,
+        strict=strict, faults=faults)]

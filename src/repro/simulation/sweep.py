@@ -194,6 +194,11 @@ def run_sweep_cell(configuration: SweepConfiguration, seed: int,
     )
 
 
+def _validate_workers(workers: Optional[int]) -> None:
+    if workers is not None and workers < 1:
+        raise ExperimentError("workers must be at least 1")
+
+
 def run_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
               record_trace: bool = False, max_rounds: int = 200_000,
               legacy_seeding: bool = False,
@@ -213,12 +218,14 @@ def run_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
     _validate_configuration(configuration)
     if not seeds:
         raise ExperimentError("at least one seed is required")
+    _validate_workers(workers)
     if workers is not None and workers > 1:
-        from .parallel import parallel_sweep
+        from .parallel import grid_sweep_with_outcomes
 
-        return parallel_sweep(configuration, seeds, workers=workers,
-                              record_trace=record_trace, max_rounds=max_rounds,
-                              legacy_seeding=legacy_seeding, bus=bus)
+        results, _ = grid_sweep_with_outcomes(
+            [configuration], seeds, workers=workers, record_trace=record_trace,
+            legacy_seeding=legacy_seeding, bus=bus, max_rounds=max_rounds)
+        return results[0]
     result = SweepResult(configuration=configuration)
     for seed in seeds:
         result.runs.append(
@@ -249,10 +256,13 @@ def grid_sweep(algorithms: Sequence[str], topologies_and_sizes: Sequence[Sequenc
         for topology, size in topologies_and_sizes
         for algorithm in algorithms
     ]
+    _validate_workers(workers)
     if workers is not None and workers > 1:
-        from .parallel import parallel_grid_sweep
+        from .parallel import grid_sweep_with_outcomes
 
-        return parallel_grid_sweep(configurations, seeds, workers=workers,
-                                   legacy_seeding=legacy_seeding)
+        results, _ = grid_sweep_with_outcomes(configurations, seeds,
+                                              workers=workers,
+                                              legacy_seeding=legacy_seeding)
+        return results
     return [run_sweep(configuration, seeds, legacy_seeding=legacy_seeding)
             for configuration in configurations]

@@ -116,7 +116,7 @@ class TestStrictness:
                       retry_backoff=0.0)
 
     def test_strict_is_the_default_without_fault_options(self):
-        # no fault-tolerance knobs: the legacy chunked path, which raises
+        # no fault-tolerance knobs: default depth, strict, so the error raises
         plan = FaultPlan(raise_at={0: 99})
         with pytest.raises(FaultInjected):
             run_cells(_cells(2), workers=1, faults=plan)
@@ -152,24 +152,40 @@ class TestStrictness:
 
 
 class TestTelemetryInvariance:
-    def _relayed_signatures(self, workers, faults=None, max_retries=0):
+    def _relayed_run(self, workers, faults=None, max_retries=0):
         bus = MetricsBus()
         events = []
         bus.subscribe(events.append)
-        run_cells(_cells(3, rounds=12), workers=workers, bus=bus,
-                  faults=faults, max_retries=max_retries, retry_backoff=0.0)
-        return [event_signature(event) for event in events
-                if "worker" in event.payload]
+        outcomes = run_cells(_cells(3, rounds=12), workers=workers, bus=bus,
+                             faults=faults, max_retries=max_retries,
+                             retry_backoff=0.0)
+        return outcomes, [event_signature(event) for event in events
+                          if "worker" in event.payload]
 
-    def test_relayed_stream_invariant_under_retries_and_workers(self):
+    @pytest.mark.parametrize("faults, max_retries", [
+        (FaultPlan(raise_at={0: 1, 2: 2}), 3),
+        # fault-free but fault-tolerant: in-flight depth = workers
+        (None, 1),
+    ], ids=["injected-raises", "fault-free-retry-depth"])
+    def test_relayed_stream_invariant_under_retries_and_workers(
+            self, faults, max_retries):
         """Retries never pollute the relay: only successful attempts ride."""
-        clean = self._relayed_signatures(workers=2)
-        plan = FaultPlan(raise_at={0: 1, 2: 2})
+        clean_outcomes, clean = self._relayed_run(workers=1)
         for workers in (1, 2, 3):
-            faulty = self._relayed_signatures(workers=workers, faults=plan,
-                                              max_retries=3)
-            assert faulty == clean, (
-                f"relayed stream changed at workers={workers} under faults")
+            # the default grid runs at depth 2 * workers
+            default_outcomes, default = self._relayed_run(workers=workers)
+            outcomes, relayed = self._relayed_run(
+                workers=workers, faults=faults, max_retries=max_retries)
+            assert default == clean
+            assert relayed == clean, (
+                f"relayed stream changed at workers={workers}")
+            for candidate in (default_outcomes, outcomes):
+                assert _traces(candidate) == _traces(clean_outcomes)
+                assert [outcome.cell.index for outcome in candidate] == \
+                    [0, 1, 2]
+            assert all(outcome.attempts == 1 for outcome in default_outcomes)
+            if faults is None:
+                assert all(outcome.attempts == 1 for outcome in outcomes)
 
     def test_driver_side_retry_events_not_worker_tagged(self):
         bus = MetricsBus()

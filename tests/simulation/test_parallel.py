@@ -8,18 +8,19 @@ spec.  For randomized algorithms this is checked in both ``rng_mode``s.
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, TopologyError
 from repro.simulation.parallel import (
     CellOutcome,
     GridCell,
     default_workers,
-    parallel_dynamic_grid,
-    parallel_grid_sweep,
-    parallel_scenario_grid,
-    parallel_sweep,
+    grid_sweep_with_outcomes,
     run_cells,
+    sweep_cells,
     timing_summary,
 )
 from repro.simulation.scenario import (
@@ -74,15 +75,20 @@ class TestWorkerCountInvariance:
             tables.append([result.as_row() for result in results])
         assert tables[0] == tables[1] == tables[2]
 
+    # max_retries=0 runs at the default in-flight depth (two cells per
+    # worker); the fault-free max_retries=1 case runs at depth ``workers``
+    @pytest.mark.parametrize("max_retries", [0, 1])
     @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    def test_dynamic_trajectories_identical_across_worker_counts(self, rng_mode):
+    def test_dynamic_trajectories_identical_across_worker_counts(
+            self, rng_mode, max_retries):
         base = DynamicScenario(name="inv", algorithm="algorithm2", topology="torus",
                                num_nodes=16, tokens_per_node=6, rounds=40,
                                rng_mode=rng_mode)
         scenarios = expand_seeds(base, [1, 2, 3, 4])
         serial = [run_dynamic_scenario(scenario) for scenario in scenarios]
         for workers in WORKER_COUNTS[1:]:
-            sharded = run_dynamic_grid(scenarios, workers=workers)
+            sharded = run_dynamic_grid(scenarios, workers=workers,
+                                       max_retries=max_retries)
             assert [r.trace_max_min for r in sharded] == \
                 [r.trace_max_min for r in serial]
             assert [r.trace_total_weight for r in sharded] == \
@@ -126,13 +132,23 @@ class TestRunCells:
         with pytest.raises(ExperimentError):
             run_cells(self.make_cells(2), workers=0)
 
+    def test_strict_failure_tears_down_the_pool(self):
+        good = small_config()
+        bad = SweepConfiguration(algorithm="algorithm2", topology="cycle",
+                                 num_nodes=1)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(TopologyError):
+            run_cells(sweep_cells([good, bad, good, good], [1, 2]), workers=2)
+        # terminated workers are reaped asynchronously; leaked ones never are
+        deadline = time.monotonic() + 10.0
+        while set(multiprocessing.active_children()) - before \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not set(multiprocessing.active_children()) - before
+
     def test_unknown_cell_kind_rejected(self):
         with pytest.raises(ExperimentError):
             GridCell(kind="frobnicate", spec=small_config(), index=0)
-
-    def test_explicit_chunksize(self):
-        outcomes = run_cells(self.make_cells(4), workers=2, chunksize=2)
-        assert [outcome.cell.seed for outcome in outcomes] == [0, 1, 2, 3]
 
     def test_default_workers_bounds(self):
         assert default_workers(0) == 1
@@ -160,23 +176,35 @@ class TestRunCells:
         assert empty["cells"] == 0
 
 
-class TestParallelEntryPoints:
-    def test_parallel_sweep_requires_seeds(self):
-        with pytest.raises(ExperimentError):
-            parallel_sweep(small_config(), seeds=[], workers=2)
+class TestGridEntryPoints:
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_sweep_drivers_reject_invalid_worker_count(self, workers):
+        with pytest.raises(ExperimentError, match="workers"):
+            run_sweep(small_config(), seeds=[1], workers=workers)
+        with pytest.raises(ExperimentError, match="workers"):
+            grid_sweep(["round-down"], [("cycle", 8)], seeds=[1],
+                       workers=workers)
 
-    def test_parallel_grid_sweep_merges_per_configuration(self):
+    def test_sweep_cells_require_seeds(self):
+        with pytest.raises(ExperimentError):
+            sweep_cells([small_config()], seeds=[])
+
+    def test_grid_sweep_with_outcomes_merges_per_configuration(self):
         configs = [small_config(), small_config(algorithm="algorithm1")]
-        results = parallel_grid_sweep(configs, seeds=[1, 2, 3], workers=2)
+        results, outcomes = grid_sweep_with_outcomes(configs, seeds=[1, 2, 3],
+                                                     workers=2)
         assert [result.configuration for result in results] == configs
         assert all(result.num_runs == 3 for result in results)
+        assert len(outcomes) == 6
 
-    def test_parallel_dynamic_grid_preserves_order(self):
+    def test_dynamic_grid_preserves_order(self):
         scenarios = expand_seeds(
             DynamicScenario(name="ord", algorithm="round-down", topology="cycle",
                             num_nodes=8, tokens_per_node=4, rounds=12), [9, 8, 7])
-        results = parallel_dynamic_grid(scenarios, workers=2)
-        assert len(results) == 3
+        results = run_dynamic_grid(scenarios, workers=2)
+        assert [result.trace_max_min for result in results] == \
+            [run_dynamic_scenario(scenario).trace_max_min
+             for scenario in scenarios]
 
-    def test_parallel_scenario_grid_empty(self):
-        assert parallel_scenario_grid([], workers=2) == []
+    def test_scenario_grid_empty(self):
+        assert run_scenario_grid([], workers=2) == []

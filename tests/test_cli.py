@@ -119,6 +119,19 @@ class TestCommands:
         assert "round-down" in output and "algorithm1" in output
         assert "cycle" in output and "torus" in output
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--algorithm", "algorithm1", "--nodes", "8", "--seeds", "1"],
+        ["grid", "--algorithms", "round-down", "--topologies", "cycle:8",
+         "--seeds", "1"],
+        ["dynamic", "--nodes", "8", "--rounds", "4", "--seeds", "1"],
+    ], ids=["sweep", "grid", "dynamic"])
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_workers_must_be_a_positive_int(self, capsys, command, workers):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--workers", workers])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_grid_command_rejects_malformed_topology_entry(self, capsys):
         with pytest.raises(SystemExit):
             main(["grid", "--algorithms", "round-down",
