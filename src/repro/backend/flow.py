@@ -83,9 +83,8 @@ class ArrayFlowImitation(FlowCoupledBalancer):
         super().__init__(continuous, max_task_weight=1.0,
                          original_weight=float(counts.sum()))
         self._state = TokenCountState(counts)
-        edges = network.edges
-        self._edge_u = np.fromiter((u for u, _ in edges), dtype=np.int64, count=len(edges))
-        self._edge_v = np.fromiter((v for _, v in edges), dtype=np.int64, count=len(edges))
+        self._edge_u = network.edge_sources
+        self._edge_v = network.edge_targets
 
     # ------------------------------------------------------------------ #
     # state inspection

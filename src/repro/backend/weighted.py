@@ -492,9 +492,8 @@ class ArrayWeightedDeterministicFlowImitation(FlowCoupledBalancer):
         self._policy = selection_policy
         self._state = state
         self._unit_tokens_only = max_weight <= 1
-        edges = network.edges
-        self._edge_u = np.fromiter((u for u, _ in edges), dtype=np.int64, count=len(edges))
-        self._edge_v = np.fromiter((v for _, v in edges), dtype=np.int64, count=len(edges))
+        self._edge_u = network.edge_sources
+        self._edge_v = network.edge_targets
 
     # ------------------------------------------------------------------ #
     # state inspection

@@ -86,22 +86,16 @@ class RoundFlows:
     def outgoing_all(self) -> np.ndarray:
         """Return the vector of outgoing demands for every node (vectorised)."""
         demand = np.zeros(self._network.num_nodes, dtype=float)
-        edges = self._network.edges
-        sources = np.fromiter((u for u, _ in edges), dtype=int, count=len(edges))
-        targets = np.fromiter((v for _, v in edges), dtype=int, count=len(edges))
-        np.add.at(demand, sources, self.forward)
-        np.add.at(demand, targets, self.backward)
+        np.add.at(demand, self._network.edge_sources, self.forward)
+        np.add.at(demand, self._network.edge_targets, self.backward)
         return demand
 
     def apply_to(self, loads: np.ndarray) -> np.ndarray:
         """Return a new load vector after applying the net flows of this round."""
-        edges = self._network.edges
-        sources = np.fromiter((u for u, _ in edges), dtype=int, count=len(edges))
-        targets = np.fromiter((v for _, v in edges), dtype=int, count=len(edges))
         net = self.net()
         updated = loads.astype(float).copy()
-        np.subtract.at(updated, sources, net)
-        np.add.at(updated, targets, net)
+        np.subtract.at(updated, self._network.edge_sources, net)
+        np.add.at(updated, self._network.edge_targets, net)
         return updated
 
 
@@ -135,10 +129,6 @@ class ContinuousProcess(ABC):
         self._check_negative = check_negative_load
         self._induced_negative = False
         self._cumulative = np.zeros(network.num_edges, dtype=float)
-        self._edge_sources = np.fromiter((u for u, _ in network.edges), dtype=int,
-                                         count=network.num_edges)
-        self._edge_targets = np.fromiter((v for _, v in network.edges), dtype=int,
-                                         count=network.num_edges)
         self._last_flows: Optional[RoundFlows] = None
 
     # ------------------------------------------------------------------ #
@@ -243,8 +233,8 @@ class ContinuousProcess(ABC):
                     f"but outgoing demand {demand[node]:.4f}"
                 )
         net = flows.net()
-        np.subtract.at(self._load, self._edge_sources, net)
-        np.add.at(self._load, self._edge_targets, net)
+        np.subtract.at(self._load, self._network.edge_sources, net)
+        np.add.at(self._load, self._network.edge_targets, net)
         self._cumulative += net
         self._on_round_applied(flows)
         self._last_flows = flows
@@ -289,7 +279,7 @@ class ContinuousProcess(ABC):
 
     def _edge_endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return the (sources, targets) arrays of the canonical edge list."""
-        return self._edge_sources, self._edge_targets
+        return self._network.edge_sources, self._network.edge_targets
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

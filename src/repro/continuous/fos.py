@@ -15,11 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from ..exceptions import ProcessError
 from ..network.graph import Edge, Network
-from ..network.spectral import AlphaScheme, compute_alphas
+from ..network.spectral import AlphaScheme, alphas_to_array, compute_alphas
 from .base import ContinuousProcess, RoundFlows
 
 __all__ = ["FirstOrderDiffusion"]
@@ -54,7 +51,7 @@ class FirstOrderDiffusion(ContinuousProcess):
         super().__init__(network, initial_load, check_negative_load=check_negative_load)
         if alphas is None:
             alphas = compute_alphas(network, scheme)
-        self._alpha_array = _alphas_to_array(network, alphas)
+        self._alpha_array = alphas_to_array(network, alphas)
         self._alphas = dict(alphas)
         speeds = network.speeds
         sources, targets = self._edge_endpoint_arrays()
@@ -74,15 +71,3 @@ class FirstOrderDiffusion(ContinuousProcess):
         backward = self._rate_backward * load[targets]
         return RoundFlows(self.network, forward=forward, backward=backward)
 
-
-def _alphas_to_array(network: Network, alphas: Dict[Edge, float]) -> np.ndarray:
-    """Convert an alpha mapping into an array aligned with the network edge order."""
-    array = np.zeros(network.num_edges, dtype=float)
-    for (u, v), value in alphas.items():
-        if value <= 0:
-            raise ProcessError(f"alpha for edge {(u, v)} must be positive")
-        array[network.edge_index(u, v)] = value
-    if np.any(array == 0):
-        missing = [edge for edge in network.edges if alphas.get(edge, 0) == 0]
-        raise ProcessError(f"alphas missing for edges {missing[:5]}")
-    return array

@@ -26,13 +26,13 @@ from ..exceptions import ProcessError
 from ..network.graph import Edge, Network
 from ..network.spectral import (
     AlphaScheme,
+    alphas_to_array,
     compute_alphas,
     diffusion_matrix,
     optimal_sos_beta,
     second_largest_eigenvalue,
 )
 from .base import ContinuousProcess, RoundFlows
-from .fos import _alphas_to_array
 
 __all__ = ["SecondOrderDiffusion"]
 
@@ -67,7 +67,7 @@ class SecondOrderDiffusion(ContinuousProcess):
         if alphas is None:
             alphas = compute_alphas(network, scheme)
         self._alphas = dict(alphas)
-        self._alpha_array = _alphas_to_array(network, alphas)
+        self._alpha_array = alphas_to_array(network, alphas)
         if beta is None:
             lam = second_largest_eigenvalue(diffusion_matrix(network, alphas=alphas))
             beta = optimal_sos_beta(min(lam, 1.0 - 1e-12))

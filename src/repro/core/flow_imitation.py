@@ -344,14 +344,15 @@ class FlowImitationBalancer(FlowCoupledBalancer):
 
     def _imitate_round(self) -> None:
         residual = self._continuous.cumulative_flows - self._discrete_cumulative
+        sources, targets = self.network.edge_sources, self.network.edge_targets
+        active = np.flatnonzero(residual)
 
         # Partition residuals into per-sender requests (only one direction of an
         # edge can have positive residual flow).
         requests: Dict[int, List[Tuple[int, int, float]]] = {}
-        for edge_idx, value in enumerate(residual):
-            if value == 0.0:
-                continue
-            u, v = self.network.edges[edge_idx]
+        for edge_idx, u, v, value in zip(active.tolist(), sources[active].tolist(),
+                                         targets[active].tolist(),
+                                         residual[active].tolist()):
             if value > 0:
                 requests.setdefault(u, []).append((v, edge_idx, float(value)))
             else:
@@ -382,8 +383,7 @@ class FlowImitationBalancer(FlowCoupledBalancer):
             sent = plan.weight
             weight_moved += sent
             transfers += 1
-            u, _ = self.network.edges[edge_idx]
-            signed = sent if plan.source == u else -sent
+            signed = sent if plan.source == int(sources[edge_idx]) else -sent
             self._discrete_cumulative[edge_idx] += signed
 
         if dummies_this_round:

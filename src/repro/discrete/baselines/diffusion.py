@@ -41,7 +41,7 @@ from ...counter_rng import (
 )
 from ...exceptions import ProcessError
 from ...network.graph import Edge, Network
-from ...network.spectral import AlphaScheme, compute_alphas
+from ...network.spectral import AlphaScheme, alphas_to_array, compute_alphas
 from ..base import IntegerLoadBalancer
 
 __all__ = [
@@ -79,14 +79,9 @@ class DiffusionBaseline(IntegerLoadBalancer):
         if alphas is None:
             alphas = compute_alphas(network, scheme)
         self._alphas = dict(alphas)
-        self._alpha_array = np.zeros(network.num_edges, dtype=float)
-        for (u, v), value in alphas.items():
-            self._alpha_array[network.edge_index(u, v)] = value
-        if np.any(self._alpha_array <= 0):
-            raise ProcessError("every edge needs a positive alpha weight")
-        edges = network.edges
-        self._sources = np.fromiter((u for u, _ in edges), dtype=int, count=len(edges))
-        self._targets = np.fromiter((v for _, v in edges), dtype=int, count=len(edges))
+        self._alpha_array = alphas_to_array(network, alphas)
+        self._sources = network.edge_sources
+        self._targets = network.edge_targets
 
     @property
     def alphas(self) -> Dict[Edge, float]:
@@ -321,7 +316,13 @@ class ExcessTokenDiffusion(DiffusionBaseline):
             )
         self._strategy = strategy
         self._rng_mode = validate_rng_mode(rng_mode)
-        self._dir_offsets = None  # built lazily: only the counter mode reads them
+        # Directed slots (sorted by source, then neighbour): the network's
+        # CSR, shared by the counter-mode reference and the columnar kernel.
+        adjacency = network.adjacency
+        self._dir_offsets = adjacency.offsets
+        self._dir_src = np.repeat(np.arange(network.num_nodes), network.degrees)
+        self._dir_dst = adjacency.neighbors
+        self._dir_alpha = self._alpha_array[adjacency.edge_ids]
         self._reset_state(seed)
 
     def _reset_state(self, seed) -> None:
@@ -349,26 +350,6 @@ class ExcessTokenDiffusion(DiffusionBaseline):
     # shared round math (counter mode and the columnar kernel)
     # ------------------------------------------------------------------ #
 
-    def _ensure_directed_arrays(self) -> None:
-        """Build the directed-edge arrays (sorted by source, then neighbour
-        order) shared by the counter-mode reference and the columnar kernel.
-
-        Topology data, built once on first counter-mode use — the default
-        sequential mode never reads them, so it does not pay for them."""
-        if self._dir_offsets is not None:
-            return
-        network = self.network
-        degrees = network.degrees
-        self._dir_offsets = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
-        self._dir_src = np.repeat(np.arange(network.num_nodes), degrees)
-        self._dir_dst = np.fromiter(
-            (nbr for node in network.nodes for nbr in network.neighbors(node)),
-            dtype=np.int64, count=int(degrees.sum()))
-        self._dir_alpha = self._alpha_array[
-            [network.edge_index(int(u), int(v))
-             for u, v in zip(self._dir_src, self._dir_dst)]
-        ]
-
     def _counter_flow_plan(self):
         """Vectorised directed floors and per-node excess token counts.
 
@@ -377,7 +358,6 @@ class ExcessTokenDiffusion(DiffusionBaseline):
         bit-identical by construction on everything except how the random
         candidate selection is *computed* (per-node loop vs batched argsort).
         """
-        self._ensure_directed_arrays()
         speeds = self.network.speeds
         loads = self._loads.astype(float)
         amounts = self._dir_alpha / speeds[self._dir_src] * loads[self._dir_src]

@@ -32,6 +32,7 @@ from .graph import Edge, Network
 __all__ = [
     "AlphaScheme",
     "compute_alphas",
+    "alphas_to_array",
     "diffusion_matrix",
     "second_largest_eigenvalue",
     "laplacian_second_smallest",
@@ -83,33 +84,37 @@ def compute_alphas(network: Network, scheme: str = AlphaScheme.MAX_DEGREE_PLUS_O
     """
     degrees = network.degrees
     speeds = network.speeds
-    d_max = network.max_degree
-    alphas: Dict[Edge, float] = {}
-    for (u, v) in network.edges:
-        smin = min(speeds[u], speeds[v])
-        if scheme == AlphaScheme.MAX_DEGREE_PLUS_ONE:
-            denom = max(degrees[u], degrees[v]) + 1
-        elif scheme == AlphaScheme.HALF_MAX_DEGREE:
-            denom = 2 * max(degrees[u], degrees[v])
-        elif scheme == AlphaScheme.GLOBAL_DEGREE:
-            denom = d_max + 1
-        else:
-            raise ProcessError(
-                f"unknown alpha scheme {scheme!r}; valid schemes: {AlphaScheme.ALL}"
-            )
-        alphas[(u, v)] = float(smin) / float(denom)
-    _validate_alphas(network, alphas)
-    return alphas
+    u, v = network.edge_sources, network.edge_targets
+    if scheme == AlphaScheme.MAX_DEGREE_PLUS_ONE:
+        denom = np.maximum(degrees[u], degrees[v]) + 1
+    elif scheme == AlphaScheme.HALF_MAX_DEGREE:
+        denom = 2 * np.maximum(degrees[u], degrees[v])
+    elif scheme == AlphaScheme.GLOBAL_DEGREE:
+        denom = np.full(u.size, network.max_degree + 1)
+    else:
+        raise ProcessError(
+            f"unknown alpha scheme {scheme!r}; valid schemes: {AlphaScheme.ALL}"
+        )
+    values = np.minimum(speeds[u], speeds[v]) / denom.astype(float)
+    _validate_alphas(network, values)
+    return dict(zip(network.edges, values.tolist()))
 
 
-def _validate_alphas(network: Network, alphas: Dict[Edge, float]) -> None:
-    """Check ``alpha_{i,j} > 0`` and ``sum_{j in N(i)} alpha_{i,j} < s_i``."""
+def _validate_alphas(network: Network, values: np.ndarray) -> None:
+    """Check ``alpha_{i,j} > 0`` and ``sum_{j in N(i)} alpha_{i,j} < s_i``.
+
+    ``values`` is aligned with :attr:`Network.edges`.
+    """
+    nonpositive = np.flatnonzero(values <= 0)
+    if nonpositive.size:
+        edge = network.edges[int(nonpositive[0])]
+        raise ProcessError(
+            f"alpha for edge {edge} must be positive, got {values[nonpositive[0]]}")
+    # Node i's incident edges in canonical order are (a, i) for a < i, then
+    # (i, b): accumulating targets first keeps that summation order.
     sums = np.zeros(network.num_nodes)
-    for (u, v), value in alphas.items():
-        if value <= 0:
-            raise ProcessError(f"alpha for edge {(u, v)} must be positive, got {value}")
-        sums[u] += value
-        sums[v] += value
+    np.add.at(sums, network.edge_targets, values)
+    np.add.at(sums, network.edge_sources, values)
     speeds = network.speeds
     bad = np.nonzero(sums >= speeds)[0]
     if bad.size > 0:
@@ -118,6 +123,27 @@ def _validate_alphas(network: Network, alphas: Dict[Edge, float]) -> None:
             f"alpha weights violate sum_j alpha_ij < s_i at node {node}: "
             f"sum={sums[node]:.4f} >= s={speeds[node]:.4f}"
         )
+
+
+def alphas_to_array(network: Network, alphas: Dict[Edge, float]) -> np.ndarray:
+    """Convert an alpha mapping into an array aligned with the network edge order."""
+    keys = list(alphas)
+    values = np.array(list(alphas.values()), dtype=float)
+    pairs = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    positions = network.edge_indices(pairs[:, 0], pairs[:, 1])
+    # Entries are checked in mapping order: value first, then the edge.
+    nonpositive = np.flatnonzero(values <= 0)
+    absent = np.flatnonzero(positions < 0)
+    if nonpositive.size and (not absent.size or nonpositive[0] <= absent[0]):
+        raise ProcessError(f"alpha for edge {keys[nonpositive[0]]} must be positive")
+    if absent.size:
+        network.edge_index(*keys[absent[0]])  # raises NetworkError
+    array = np.zeros(network.num_edges, dtype=float)
+    array[positions] = values
+    if np.any(array == 0):
+        missing = [network.edges[k] for k in np.flatnonzero(array == 0)[:5]]
+        raise ProcessError(f"alphas missing for edges {missing}")
+    return array
 
 
 def diffusion_matrix(

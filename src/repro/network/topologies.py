@@ -8,13 +8,16 @@ random geometric graphs) used by tests, examples and ablation benchmarks.
 
 Every constructor returns a :class:`~repro.network.graph.Network` with uniform
 speed 1; pass the result through :meth:`Network.with_speeds` to attach a speed
-profile.
+profile.  The regular families (hypercube, torus, cycle, path, complete)
+emit their canonical edge arrays directly; the random and irregular families
+are drawn with networkx and converted at the boundary.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -45,32 +48,68 @@ __all__ = [
 ]
 
 
+def _from_pairs(num_nodes: int, first: np.ndarray, second: np.ndarray, name: str,
+                graph_factory: Optional[Callable[[], nx.Graph]] = None) -> Network:
+    """A network from undirected node pairs in any orientation and order.
+
+    The pairs are canonicalised (``u < v``), sorted and de-duplicated.
+    """
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    keys = np.unique(low * num_nodes + high)
+    return Network.from_arrays(num_nodes, keys // num_nodes, keys % num_nodes,
+                               name=name, graph_factory=graph_factory)
+
+
+# The lazy ``.graph`` of a hypercube or torus comes from the networkx
+# construction: its adjacency order (not canonical) feeds the greedy edge
+# colouring behind the periodic matching schedules.
+def _nx_hypercube(dimension: int) -> nx.Graph:
+    return nx.convert_node_labels_to_integers(nx.hypercube_graph(dimension))
+
+
+def _nx_torus(side: int, dims: int) -> nx.Graph:
+    return nx.convert_node_labels_to_integers(
+        nx.grid_graph(dim=[side] * dims, periodic=True))
+
+
 def hypercube(dimension: int) -> Network:
     """Return the ``dimension``-dimensional hypercube on ``2**dimension`` nodes.
 
     The hypercube is one of the benchmark graph classes of Tables 1 and 2;
     its maximum degree equals ``dimension`` and ``1 - lambda = Theta(1/d)``.
+    Node ``i`` is the bit tuple of ``i`` (networkx's numbering); its
+    neighbours differ in one bit.
     """
     if dimension < 1:
         raise TopologyError("hypercube dimension must be >= 1")
-    graph = nx.hypercube_graph(dimension)
-    return Network(nx.convert_node_labels_to_integers(graph), name=f"hypercube-{dimension}")
+    nodes = np.arange(2**dimension, dtype=np.int64)
+    low = [nodes[(nodes >> bit) & 1 == 0] for bit in range(dimension)]
+    high = [part | (1 << bit) for bit, part in enumerate(low)]
+    return _from_pairs(nodes.size, np.concatenate(low), np.concatenate(high),
+                       f"hypercube-{dimension}", partial(_nx_hypercube, dimension))
 
 
 def torus(side: int, dims: int = 2) -> Network:
     """Return a ``dims``-dimensional torus with ``side`` nodes per dimension.
 
     ``dims=1`` gives a cycle, ``dims=2`` the standard wrap-around grid, etc.
-    Each node has degree ``2 * dims`` (when ``side >= 3``).
+    Each node has degree ``2 * dims`` (when ``side >= 3``; for ``side=2``
+    the two wrap-around neighbours coincide).  Nodes are numbered in
+    lexicographic order of their coordinate tuples (mixed radix, as
+    networkx numbers ``grid_graph``).
     """
     if side < 2:
         raise TopologyError("torus side must be >= 2")
     if dims < 1:
         raise TopologyError("torus dimension must be >= 1")
-    graph = nx.grid_graph(dim=[side] * dims, periodic=True)
-    return Network(
-        nx.convert_node_labels_to_integers(graph), name=f"torus-{dims}d-{side}"
-    )
+    nodes = np.arange(side**dims, dtype=np.int64)
+    neighbours = []
+    for axis in range(dims):
+        stride = side**axis
+        wraps = (nodes // stride) % side == side - 1
+        neighbours.append(nodes + np.where(wraps, (1 - side) * stride, stride))
+    return _from_pairs(nodes.size, np.tile(nodes, dims), np.concatenate(neighbours),
+                       f"torus-{dims}d-{side}", partial(_nx_torus, side, dims))
 
 
 def grid(rows: int, cols: int) -> Network:
@@ -85,21 +124,24 @@ def cycle(n: int) -> Network:
     """Return the cycle on ``n >= 3`` nodes."""
     if n < 3:
         raise TopologyError("a cycle needs at least 3 nodes")
-    return Network(nx.cycle_graph(n), name=f"cycle-{n}")
+    nodes = np.arange(n, dtype=np.int64)
+    return _from_pairs(n, nodes, (nodes + 1) % n, f"cycle-{n}")
 
 
 def path(n: int) -> Network:
     """Return the path on ``n >= 2`` nodes (worst-case diameter topology)."""
     if n < 2:
         raise TopologyError("a path needs at least 2 nodes")
-    return Network(nx.path_graph(n), name=f"path-{n}")
+    nodes = np.arange(n - 1, dtype=np.int64)
+    return Network.from_arrays(n, nodes, nodes + 1, name=f"path-{n}")
 
 
 def complete(n: int) -> Network:
     """Return the complete graph on ``n >= 2`` nodes."""
     if n < 2:
         raise TopologyError("a complete graph needs at least 2 nodes")
-    return Network(nx.complete_graph(n), name=f"complete-{n}")
+    sources, targets = np.triu_indices(n, k=1)
+    return Network.from_arrays(n, sources, targets, name=f"complete-{n}")
 
 
 def star(n: int) -> Network:

@@ -22,6 +22,9 @@ R004      process-boundary-purity        boundary dataclasses stay picklable and
                                          PR 6 config hashes)
 R005      kernel-phase-coverage          backend round kernels run under
                                          ``kernel_phase(...)`` (PR 7 traces)
+R006      python-edge-rebuild            per-edge arrays come from the network's
+                                         read-only endpoint arrays, never from
+                                         Python iteration over ``.edges``
 ========  =============================  =========================================
 """
 
@@ -38,6 +41,7 @@ __all__ = [
     "UnorderedIterationRule",
     "ProcessBoundaryPurityRule",
     "KernelPhaseCoverageRule",
+    "PythonEdgeRebuildRule",
     "ALL_RULES",
     "RULES_BY_ID",
     "BOUNDARY_TYPES",
@@ -620,12 +624,127 @@ class KernelPhaseCoverageRule(VisitorRule):
                 and module.filename == "flow_imitation.py")
 
 
+# --------------------------------------------------------------------- #
+# R006 python-edge-rebuild
+# --------------------------------------------------------------------- #
+
+#: Per-round entry points: a Python loop over the edge list in one of these
+#: runs once per edge per round.
+_EDGE_LOOP_METHODS: FrozenSet[str] = frozenset({
+    "advance", "_compute_flows", "_execute_round", "_imitate_round",
+})
+
+
+def _reads_edges(node: ast.AST, aliases: FrozenSet[str]) -> bool:
+    """Whether an expression reads ``.edges`` or a local alias bound to it."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute) and child.attr == "edges":
+            return True
+        if isinstance(child, ast.Name) and child.id in aliases:
+            return True
+    return False
+
+
+def _edge_aliases(function: ast.FunctionDef) -> FrozenSet[str]:
+    """Local names bound to an ``.edges`` read (``edges = network.edges``)."""
+    return frozenset(
+        target.id
+        for statement in ast.walk(function) if isinstance(statement, ast.Assign)
+        and _reads_edges(statement.value, frozenset())
+        for target in statement.targets if isinstance(target, ast.Name))
+
+
+def _generators(node: ast.AST) -> List[ast.comprehension]:
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                         ast.DictComp)):
+        return node.generators
+    return []
+
+
+class _EdgeRebuildVisitor(RuleVisitor):
+    """Flag edge arrays rebuilt from ``.edges`` and per-round edge loops."""
+
+    def __init__(self, rule: "PythonEdgeRebuildRule",
+                 module: ModuleContext) -> None:
+        super().__init__(rule, module)
+        self._round_depth = 0
+        self._aliases: FrozenSet[str] = frozenset()
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        in_round = int(node.name in _EDGE_LOOP_METHODS)
+        outer = self._aliases
+        self._aliases = outer | _edge_aliases(node)
+        self._round_depth += in_round
+        self.generic_visit(node)
+        self._round_depth -= in_round
+        self._aliases = outer
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = (func.attr if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name) else "")
+        if name == "fromiter" and node.args and any(
+                _reads_edges(generator.iter, self._aliases)
+                for generator in _generators(node.args[0])):
+            self.report(node, (
+                "np.fromiter over .edges rebuilds the edge endpoint arrays "
+                "from Python tuples: read network.edge_sources / "
+                "network.edge_targets (built once, read-only) instead"))
+        self.generic_visit(node)
+
+    def _check_loop(self, node: ast.AST, iter_node: ast.expr) -> None:
+        if self._round_depth and _reads_edges(iter_node, self._aliases):
+            self.report(node, (
+                "Python loop over .edges inside a per-round method: index "
+                "network.edge_sources / network.edge_targets (or the CSR "
+                "adjacency) with arrays instead of iterating edge tuples "
+                "every round"))
+
+    def visit_For(self, node: ast.For) -> None:
+        self._check_loop(node, node.iter)
+        self.generic_visit(node)
+
+    def _visit_comprehension(self, node: ast.expr) -> None:
+        for generator in _generators(node):
+            self._check_loop(node, generator.iter)
+        self.generic_visit(node)
+
+    def visit_ListComp(self, node: ast.ListComp) -> None:
+        self._visit_comprehension(node)
+
+    def visit_SetComp(self, node: ast.SetComp) -> None:
+        self._visit_comprehension(node)
+
+    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
+        self._visit_comprehension(node)
+
+    def visit_DictComp(self, node: ast.DictComp) -> None:
+        self._visit_comprehension(node)
+
+
+class PythonEdgeRebuildRule(VisitorRule):
+    """R006: per-edge data comes from the network's arrays, not ``.edges``."""
+
+    rule_id = "R006"
+    name = "python-edge-rebuild"
+    description = ("np.fromiter over .edges, or a loop over .edges inside "
+                   "advance/_compute_flows/_execute_round/_imitate_round, "
+                   "under src/repro/ outside network/")
+    visitor_class = _EdgeRebuildVisitor
+
+    def applies_to(self, module: ModuleContext) -> bool:
+        if module.is_test:
+            return False
+        return module.in_directory("repro") and not module.in_directory("network")
+
+
 ALL_RULES: Tuple[VisitorRule, ...] = (
     NondeterministicRngRule(),
     WallClockInLogicRule(),
     UnorderedIterationRule(),
     ProcessBoundaryPurityRule(),
     KernelPhaseCoverageRule(),
+    PythonEdgeRebuildRule(),
 )
 
 RULES_BY_ID: Dict[str, VisitorRule] = {rule.rule_id: rule for rule in ALL_RULES}

@@ -1,4 +1,4 @@
-"""Positive/negative fixture snippets for every rule (R001-R005)."""
+"""Positive/negative fixture snippets for every rule (R001-R006)."""
 
 from staticcheck_helpers import rule_ids
 
@@ -442,3 +442,89 @@ class TestKernelPhaseCoverage:
                     self._do_work()
         """, relpath="src/repro/backend/kern.py")
         assert rule_ids(report) == []
+
+
+# --------------------------------------------------------------------- #
+# R006 python-edge-rebuild
+# --------------------------------------------------------------------- #
+
+
+class TestPythonEdgeRebuild:
+    def test_fromiter_over_edges_fires(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            def sources(network):
+                return np.fromiter((u for u, _ in network.edges), dtype=int,
+                                   count=network.num_edges)
+        """, relpath="src/repro/continuous/proc.py")
+        assert rule_ids(report) == ["R006"]
+        assert "edge_sources" in report.findings[0].message
+
+    def test_fromiter_over_local_edges_alias_fires(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            class Kernel:
+                def __init__(self, network):
+                    edges = network.edges
+                    self._u = np.fromiter((u for u, _ in edges), dtype=np.int64,
+                                          count=len(edges))
+        """, relpath="src/repro/backend/kern.py")
+        assert rule_ids(report) == ["R006"]
+
+    def test_edge_loop_in_round_method_fires(self, check_snippet):
+        report = check_snippet("""
+            class Process:
+                def _compute_flows(self):
+                    for u, v in self.network.edges:
+                        self._flow(u, v)
+        """, relpath="src/repro/continuous/proc.py")
+        assert rule_ids(report) == ["R006"]
+
+    def test_edge_comprehension_in_advance_fires(self, check_snippet):
+        report = check_snippet("""
+            class Process:
+                def advance(self):
+                    return [u for u, _ in self.network.edges]
+        """, relpath="src/repro/dynamic/proc.py")
+        assert rule_ids(report) == ["R006"]
+
+    def test_endpoint_arrays_are_clean(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            class Process:
+                def __init__(self, network):
+                    self._u = network.edge_sources
+
+                def _compute_flows(self):
+                    return self._rate * self._load[self.network.edge_sources]
+        """, relpath="src/repro/continuous/proc.py")
+        assert rule_ids(report) == []
+
+    def test_edge_loop_outside_round_methods_is_clean(self, check_snippet):
+        report = check_snippet("""
+            def describe(network):
+                return [f"{u}-{v}" for u, v in network.edges]
+        """, relpath="src/repro/analysis/report.py")
+        assert rule_ids(report) == []
+
+    def test_network_package_is_out_of_scope(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            def sources(network):
+                return np.fromiter((u for u, _ in network.edges), dtype=int)
+        """, relpath="src/repro/network/graph.py")
+        assert rule_ids(report) == []
+
+    def test_tests_are_out_of_scope(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            def test_sources(network):
+                assert np.fromiter((u for u, _ in network.edges), dtype=int).size
+        """, relpath="tests/test_edges.py")
+        assert rule_ids(report) == []
+
