@@ -10,9 +10,7 @@ from .backend import (
     BACKEND_KINDS,
     ArrayBackend,
     ArrayDeterministicFlowImitation,
-    ArrayExcessTokenDiffusion,
     ArrayRandomizedFlowImitation,
-    ArrayRandomizedRoundingDiffusion,
     ArrayWeightedDeterministicFlowImitation,
     BackendChoice,
     ObjectBackend,
@@ -110,8 +108,6 @@ __all__ = [
     "ArrayDeterministicFlowImitation",
     "ArrayRandomizedFlowImitation",
     "ArrayWeightedDeterministicFlowImitation",
-    "ArrayExcessTokenDiffusion",
-    "ArrayRandomizedRoundingDiffusion",
     "RNG_MODES",
     "get_backend",
     "resolve_backend",

@@ -15,13 +15,6 @@ from .base import (
     resolve_backend,
     resolve_backend_name,
 )
-from .baselines import (
-    ArrayExcessTokenDiffusion,
-    ArrayQuasirandomDiffusion,
-    ArrayRandomizedRoundingDiffusion,
-    ArrayRoundDownDiffusion,
-    ArrayRoundDownSecondOrder,
-)
 from .flow import (
     ArrayDeterministicFlowImitation,
     ArrayFlowImitation,
@@ -43,11 +36,6 @@ __all__ = [
     "ArrayDeterministicFlowImitation",
     "ArrayRandomizedFlowImitation",
     "ArrayWeightedDeterministicFlowImitation",
-    "ArrayRoundDownDiffusion",
-    "ArrayRoundDownSecondOrder",
-    "ArrayQuasirandomDiffusion",
-    "ArrayRandomizedRoundingDiffusion",
-    "ArrayExcessTokenDiffusion",
     "TokenCountState",
     "WeightedRunState",
 ]

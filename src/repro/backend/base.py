@@ -23,7 +23,9 @@ represented:
 reason lands in ``RunResult.extra["backend_reason"]`` so silent fallbacks are
 observable in benchmarks and CI.
 
-Backends are deliberately thin: they only choose *classes*.  The simulation
+Backends are deliberately thin: they only choose the flow-imitation
+*classes*.  The rounding baselines keep their state in one ``int64`` vector
+already, so each has a single class shared by both backends.  The simulation
 engine keeps ownership of substrate construction, schedules and seeds so
 that a given ``(algorithm, substrate, seed)`` triple produces the same
 coupled system — and therefore the same trajectory — on every backend.
@@ -33,28 +35,15 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence, Type
+from typing import Optional, Sequence
 
 from ..continuous.base import ContinuousProcess
 from ..core.algorithm1 import DeterministicFlowImitation
 from ..core.algorithm2 import RandomizedFlowImitation
 from ..core.flow_imitation import FlowCoupledBalancer, TaskSelectionPolicy
-from ..discrete.base import IntegerLoadBalancer
-from ..discrete.baselines.diffusion import (
-    ExcessTokenDiffusion,
-    QuasirandomDiffusion,
-    RandomizedRoundingDiffusion,
-    RoundDownDiffusion,
-)
 from ..exceptions import ExperimentError, ProcessError
 from ..tasks.assignment import TaskAssignment
 from ..tasks.weighted import WeightedLoads, task_integer_weight
-from .baselines import (
-    ArrayExcessTokenDiffusion,
-    ArrayQuasirandomDiffusion,
-    ArrayRandomizedRoundingDiffusion,
-    ArrayRoundDownDiffusion,
-)
 from .flow import ArrayDeterministicFlowImitation, ArrayRandomizedFlowImitation
 from .weighted import ArrayWeightedDeterministicFlowImitation
 
@@ -96,21 +85,19 @@ def _assignment_fallback_reason(assignment: TaskAssignment,
     return None
 
 
+#: What the counter rng mode keys each randomized process's draws on.
+_COUNTER_KEYING = {"algorithm2": "edge", "randomized-rounding": "edge",
+                   "excess-tokens": "node"}
+
+
 def _with_rng_mode_reason(choice: BackendChoice, algorithm: Optional[str],
                           rng_mode: Optional[str]) -> BackendChoice:
     """Refine an array choice's reason with what the rng mode unlocks."""
     if choice.name != "array" or rng_mode is None:
         return choice
-    if algorithm == "excess-tokens":
-        if rng_mode == "counter":
-            return BackendChoice(
-                "array", "vectorised excess-token kernel (order-free counter rng)")
-        return BackendChoice(
-            "array", "shared scalar excess-token kernel (sequential rng "
-                     "is order-sensitive; use rng_mode='counter' to vectorise)")
-    if rng_mode == "counter" and algorithm in ("algorithm2", "randomized-rounding"):
-        return BackendChoice(choice.name,
-                             f"{choice.reason}, edge-keyed counter rng")
+    if rng_mode == "counter" and algorithm in _COUNTER_KEYING:
+        return BackendChoice(choice.name, f"{choice.reason}, "
+                                          f"{_COUNTER_KEYING[algorithm]}-keyed counter rng")
     return choice
 
 
@@ -130,9 +117,8 @@ def resolve_backend(
     tasks).  ``rng_mode`` does not change which backend is picked — the
     randomized algorithms are vectorisable either way — but it is part of the
     recorded reason: with ``rng_mode="counter"`` the array path additionally
-    carries the order-free edge-keyed draws (and, for the excess-token
-    baseline, the fully batched kernel).  The reason string makes the whole
-    decision observable.
+    carries the order-free counter-keyed draws.  The reason string makes the
+    whole decision observable.
     """
     if backend not in BACKEND_KINDS:
         raise ExperimentError(
@@ -183,11 +169,6 @@ class LoadBackend(ABC):
     ) -> FlowCoupledBalancer:
         """Couple Algorithm 1 or 2 to ``continuous`` on this backend."""
 
-    @abstractmethod
-    def diffusion_class(self, algorithm: str,
-                        rng_mode: str = "sequential") -> Type[IntegerLoadBalancer]:
-        """Return the implementation class of a diffusion baseline."""
-
 
 class ObjectBackend(LoadBackend):
     """The object-per-task path: ``TaskAssignment`` + task-moving balancers."""
@@ -216,17 +197,6 @@ class ObjectBackend(LoadBackend):
                                               selection_policy=selection_policy)
         return RandomizedFlowImitation(continuous, assignment, seed=seed,
                                        rng_mode=rng_mode)
-
-    _DIFFUSION = {
-        "round-down": RoundDownDiffusion,
-        "quasirandom": QuasirandomDiffusion,
-        "randomized-rounding": RandomizedRoundingDiffusion,
-        "excess-tokens": ExcessTokenDiffusion,
-    }
-
-    def diffusion_class(self, algorithm: str,
-                        rng_mode: str = "sequential") -> Type[IntegerLoadBalancer]:
-        return self._DIFFUSION[algorithm]
 
 
 class ArrayBackend(LoadBackend):
@@ -285,22 +255,6 @@ class ArrayBackend(LoadBackend):
             return ArrayDeterministicFlowImitation(continuous, initial_load)
         return ArrayRandomizedFlowImitation(continuous, initial_load, seed=seed,
                                             rng_mode=rng_mode)
-
-    _DIFFUSION = {
-        "round-down": ArrayRoundDownDiffusion,
-        "quasirandom": ArrayQuasirandomDiffusion,
-        "randomized-rounding": ArrayRandomizedRoundingDiffusion,
-        # Sequential excess-token forwarding draws order-sensitive per-node
-        # randomness, so the shared scalar implementation is kept; the
-        # counter rng mode is order-free and takes the vectorised kernel.
-        "excess-tokens": ExcessTokenDiffusion,
-    }
-
-    def diffusion_class(self, algorithm: str,
-                        rng_mode: str = "sequential") -> Type[IntegerLoadBalancer]:
-        if algorithm == "excess-tokens" and rng_mode == "counter":
-            return ArrayExcessTokenDiffusion
-        return self._DIFFUSION[algorithm]
 
 
 _BACKENDS = {"object": ObjectBackend(), "array": ArrayBackend()}

@@ -26,6 +26,13 @@ from ..continuous.fos import FirstOrderDiffusion
 from ..continuous.sos import SecondOrderDiffusion
 from ..core.flow_imitation import FlowCoupledBalancer, TaskSelectionPolicy
 from ..discrete.base import DiscreteBalancer
+from ..discrete.baselines.diffusion import (
+    ExcessTokenDiffusion,
+    QuasirandomDiffusion,
+    RandomizedRoundingDiffusion,
+    RoundDownDiffusion,
+    RoundDownSecondOrder,
+)
 from ..discrete.baselines.matching import RandomizedRoundingMatching, RoundDownMatching
 from ..exceptions import ConvergenceError, ExperimentError
 from ..network.graph import Network
@@ -65,6 +72,17 @@ MATCHING_BASELINES = ("matching-round-down", "matching-randomized")
 ALL_ALGORITHMS = FLOW_IMITATION_ALGORITHMS + DIFFUSION_BASELINES + MATCHING_BASELINES
 
 _MATCHING_KINDS = ("periodic-matching", "random-matching")
+
+#: One class per diffusion baseline and substrate; both backends share it.
+_DIFFUSION_CLASSES = {
+    ("round-down", "fos"): RoundDownDiffusion,
+    ("round-down", "sos"): RoundDownSecondOrder,
+    ("quasirandom", "fos"): QuasirandomDiffusion,
+    ("randomized-rounding", "fos"): RandomizedRoundingDiffusion,
+    ("excess-tokens", "fos"): ExcessTokenDiffusion,
+}
+#: The diffusion baselines that draw randomness (and so take an rng mode).
+_RANDOMIZED_DIFFUSION = ("randomized-rounding", "excess-tokens")
 
 
 def make_schedule(continuous_kind: str, network: Network,
@@ -165,22 +183,21 @@ def _build_baseline(
     continuous_kind: str,
     schedule: Optional[MatchingSchedule],
     seed: Optional[int],
-    backend: str,
     rng_mode: str = "sequential",
 ) -> DiscreteBalancer:
     # A clear error beats a silently rounded workload: the baselines balance
     # whole tokens, so fractional loads are a caller bug.
     loads = as_token_counts(initial_load, network, error=ExperimentError)
     if algorithm in DIFFUSION_BASELINES:
-        if continuous_kind not in ("fos", "sos"):
+        cls = _DIFFUSION_CLASSES.get((algorithm, continuous_kind))
+        if cls is None:
+            kinds = [kind for name, kind in _DIFFUSION_CLASSES if name == algorithm]
             raise ExperimentError(
-                f"{algorithm!r} is a diffusion baseline; use continuous_kind 'fos'"
-            )
-        cls = get_backend(backend).diffusion_class(algorithm, rng_mode=rng_mode)
-        if algorithm in ("round-down", "quasirandom"):
-            return cls(network, loads)
-        # The randomized baselines draw order-free counter randomness on demand.
-        return cls(network, loads, seed=seed, rng_mode=rng_mode)
+                f"{algorithm!r} is a diffusion baseline; use continuous_kind "
+                + " or ".join(repr(kind) for kind in kinds))
+        if algorithm in _RANDOMIZED_DIFFUSION:
+            return cls(network, loads, seed=seed, rng_mode=rng_mode)
+        return cls(network, loads)
     if algorithm in MATCHING_BASELINES:
         if continuous_kind not in _MATCHING_KINDS:
             raise ExperimentError(
@@ -238,6 +255,9 @@ def make_balancer(
             f"unknown algorithm {algorithm!r}; valid algorithms: {ALL_ALGORITHMS}"
         )
     validate_rng_mode(rng_mode, error=ExperimentError)
+    if backend not in BACKEND_KINDS:
+        raise ExperimentError(
+            f"unknown backend {backend!r}; valid backends: {BACKEND_KINDS}")
     workloads_given = sum(w is not None for w in (initial_load, assignment, weighted_load))
     if workloads_given != 1:
         raise ExperimentError(
@@ -252,8 +272,7 @@ def make_balancer(
             "flow-imitation algorithms"
         )
     return _build_baseline(algorithm, network, initial_load,
-                           continuous_kind, schedule, seed, backend,
-                           rng_mode=rng_mode)
+                           continuous_kind, schedule, seed, rng_mode=rng_mode)
 
 
 def run_algorithm(
@@ -287,7 +306,9 @@ def run_algorithm(
         :class:`~repro.tasks.weighted.WeightedLoads` buckets (weighted tasks
         are only supported by ``"algorithm1"``).
     continuous_kind:
-        The continuous substrate to imitate / round.
+        The continuous substrate to imitate / round.  The diffusion
+        baselines round FOS; ``"round-down"`` also rounds SOS (the discrete
+        second-order scheme of Elsässer & Monien).
     rounds:
         How many rounds to run.  ``None`` means "until the continuous
         substrate is balanced" — measured internally for flow imitation, and
@@ -371,12 +392,12 @@ def run_algorithm(
                                  schedule=schedule, seed=seed, backend=backend,
                                  rng_mode=rng_mode)
         w_max = 1.0
-        # The backend choice only selects classes for the diffusion baselines;
-        # report what actually ran, not just what was resolved.
-        if algorithm in MATCHING_BASELINES:
-            choice = BackendChoice(
-                choice.name, "matching baselines share one integer-vector "
-                             "implementation across backends")
+        # Every baseline is one class on both backends: report what actually
+        # ran, not just what was resolved.
+        reason = "baselines share one integer-vector implementation across backends"
+        if rng_mode == "counter" and algorithm in _RANDOMIZED_DIFFUSION:
+            reason += ", order-free counter rng"
+        choice = BackendChoice(choice.name, reason)
 
     probe: Optional[RoundProbe] = None
     if bus is not None:

@@ -6,6 +6,10 @@ randomness, same trajectories.  These are seeded property tests: for every
 the dummy-token distributions and the final discrepancies of the two
 backends must match *exactly* (not approximately — any drift means the
 backends are running different processes).
+
+The diffusion baselines are one class on both backends, so they are checked
+against an oracle instead: the same class applying its moves one edge at a
+time.
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ from repro.backend import (
 )
 from repro.continuous.sos import SecondOrderDiffusion
 from repro.core.algorithm1 import DeterministicFlowImitation
-from repro.network import topologies
-from repro.simulation.engine import (
-    DIFFUSION_BASELINES,
-    make_balancer,
-    run_algorithm,
+from repro.discrete.baselines.diffusion import (
+    QuasirandomDiffusion,
+    RandomizedRoundingDiffusion,
+    RoundDownDiffusion,
+    RoundDownSecondOrder,
 )
+from repro.network import topologies
+from repro.simulation.engine import make_balancer, run_algorithm
 from repro.tasks.assignment import TaskAssignment
 from repro.tasks.generators import point_load, uniform_random_load
 
@@ -126,23 +132,82 @@ class TestFlowImitationEquivalence:
         assert_roundwise_equal(object_balancer, array_balancer, rounds=80)
 
 
+class PerEdgeNetMoves:
+    """Oracle mixin: apply net moves one edge at a time, the scatter-add's spec."""
+
+    def _apply_net_moves(self, sent):
+        moves = []
+        for edge_idx, amount in enumerate(sent):
+            amount = int(amount)
+            if amount == 0:
+                continue
+            u = int(self._sources[edge_idx])
+            v = int(self._targets[edge_idx])
+            moves.append((u, v, amount) if amount > 0 else (v, u, -amount))
+        self._apply_edge_moves(moves)
+
+
+#: (algorithm, continuous kind, rng mode) -> the one class the engine builds.
+NET_MOVE_BASELINES = {
+    ("round-down", "fos", "sequential"): RoundDownDiffusion,
+    ("round-down", "sos", "sequential"): RoundDownSecondOrder,
+    ("quasirandom", "fos", "sequential"): QuasirandomDiffusion,
+    ("randomized-rounding", "fos", "sequential"): RandomizedRoundingDiffusion,
+    ("randomized-rounding", "fos", "counter"): RandomizedRoundingDiffusion,
+}
+
+
+def assert_matches_per_edge_oracle(instance, network, load, seed):
+    """Both backends build the one class, bit-identical to per-edge moves."""
+    algorithm, continuous_kind, rng_mode = instance
+    cls = NET_MOVE_BASELINES[instance]
+    oracle_cls = type(f"PerEdge{cls.__name__}", (PerEdgeNetMoves, cls), {})
+    randomized = {} if cls is not RandomizedRoundingDiffusion else {
+        "seed": seed, "rng_mode": rng_mode}
+    oracle = oracle_cls(network, load, **randomized)
+    balancers = [make_balancer(algorithm, network, initial_load=load,
+                               continuous_kind=continuous_kind, seed=seed,
+                               backend=backend, rng_mode=rng_mode)
+                 for backend in ("object", "array")]
+    assert all(type(balancer) is cls for balancer in balancers)
+    for round_index in range(40):
+        oracle.advance()
+        for balancer in balancers:
+            balancer.advance()
+            assert np.array_equal(oracle.loads(), balancer.loads()), (
+                f"{instance} diverged at round {round_index}")
+    for balancer in balancers:
+        assert balancer.went_negative == oracle.went_negative
+    return oracle
+
+
 class TestBaselineEquivalence:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-    @pytest.mark.parametrize("algorithm", sorted(DIFFUSION_BASELINES))
+    @pytest.mark.parametrize("instance", sorted(NET_MOVE_BASELINES),
+                             ids="-".join)
     @pytest.mark.parametrize("seed", [1, 5])
-    def test_diffusion_baseline_loads_match(self, topology, algorithm, seed):
+    def test_diffusion_baseline_matches_per_edge_oracle(self, topology, instance,
+                                                        seed):
         network = TOPOLOGIES[topology]()
-        load = workload(network, seed)
-        object_balancer = make_balancer(algorithm, network, initial_load=load,
-                                        seed=seed, backend="object")
-        array_balancer = make_balancer(algorithm, network, initial_load=load,
-                                       seed=seed, backend="array")
-        for round_index in range(40):
-            object_balancer.advance()
-            array_balancer.advance()
-            assert np.array_equal(object_balancer.loads(), array_balancer.loads()), (
-                f"{algorithm} diverged at round {round_index}")
-        assert object_balancer.went_negative == array_balancer.went_negative
+        assert_matches_per_edge_oracle(instance, network, workload(network, seed),
+                                       seed)
+
+    @pytest.mark.parametrize("instance", [
+        key for key in sorted(NET_MOVE_BASELINES) if key[0] != "round-down"],
+        ids="-".join)
+    def test_negative_load_flag_matches_per_edge_oracle(self, instance):
+        """About one token per node: the rounding drives some loads negative."""
+        network = TOPOLOGIES["torus"]()
+        load = uniform_random_load(network, network.num_nodes, seed=1)
+        oracle = assert_matches_per_edge_oracle(instance, network, load, 1)
+        assert oracle.went_negative, "instance must create negative load"
+
+    def test_negative_load_flag_matches_on_second_order(self):
+        network = topologies.torus(8, dims=2)
+        oracle = assert_matches_per_edge_oracle(
+            ("round-down", "sos", "sequential"), network,
+            point_load(network, 8 * network.num_nodes), 1)
+        assert oracle.went_negative, "instance must create negative load"
 
     @pytest.mark.parametrize("algorithm", ["matching-round-down", "matching-randomized"])
     def test_matching_baselines_shared_across_backends(self, algorithm):

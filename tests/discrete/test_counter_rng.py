@@ -8,8 +8,9 @@ whole round.  These tests pin down:
 
 * determinism: same seed => same draws/trajectory, different seeds differ;
 * order-freeness: visiting nodes in any order yields the same selections;
-* bit-identity between the scalar counter-mode reference and the fully
-  vectorised :class:`~repro.backend.baselines.ArrayExcessTokenDiffusion`;
+* bit-identity between the batched counter-mode kernel of
+  :class:`ExcessTokenDiffusion` and a scalar per-node reference
+  (:class:`ScalarCounterExcessTokens`, the test oracle);
 * the engine/CLI plumbing (``rng_mode`` threading, backend recording);
 * the clear-error satellite: non-integer loads raise instead of silently
   producing a wrong answer.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend.baselines import ArrayExcessTokenDiffusion
 from repro.discrete.baselines.diffusion import RNG_MODES, ExcessTokenDiffusion
 from repro.exceptions import ExperimentError, ProcessError
 from repro.network import topologies
@@ -39,6 +39,44 @@ def trajectory(balancer, rounds):
         balancer.advance()
         trace.append(balancer.loads())
     return np.array(trace)
+
+
+class ScalarCounterExcessTokens(ExcessTokenDiffusion):
+    """Scalar counter-mode reference: the same flows, one node at a time.
+
+    Every draw depends only on ``(seed, round, node)``, so visiting the nodes
+    in a Python loop must select exactly what the batched kernel selects.
+    """
+
+    def _counter_chosen(self, node, num_candidates, count, scores):
+        """Candidate slots ``node`` forwards its excess tokens to."""
+        if self._strategy == "random":
+            order = np.argsort(scores[node, :num_candidates], kind="stable")
+            return order[:count]
+        offset = int(self._round_robin_offsets[node])
+        chosen = [(offset + k) % num_candidates for k in range(count)]
+        self._round_robin_offsets[node] = (offset + count) % num_candidates
+        return chosen
+
+    def _execute_round_counter(self):
+        floors, excess = self._counter_flow_plan()
+        scores = self._counter_scores(self._round) if self._strategy == "random" else None
+        moves = []
+        for node in self.network.nodes:
+            neighbors = self.network.neighbors(node)
+            base = int(self._dir_offsets[node])
+            for j, neighbor in enumerate(neighbors):
+                amount = int(floors[base + j])
+                if amount > 0:
+                    moves.append((node, neighbor, amount))
+            count = min(int(excess[node]), len(neighbors) + 1)
+            if count > 0:
+                for index in self._counter_chosen(node, len(neighbors) + 1,
+                                                  count, scores):
+                    index = int(index)
+                    if index < len(neighbors):
+                        moves.append((node, neighbors[index], 1))
+        self._apply_edge_moves(moves)
 
 
 class TestCounterDeterminism:
@@ -85,8 +123,8 @@ class TestOrderFreeDraws:
         """Two references visiting nodes forward/backward select identically."""
         network = topologies.random_regular(20, 4, seed=3)
         load = workload(network)
-        reference = ExcessTokenDiffusion(network, load, seed=5, rng_mode="counter")
-        shuffled = ExcessTokenDiffusion(network, load, seed=5, rng_mode="counter")
+        reference = ScalarCounterExcessTokens(network, load, seed=5, rng_mode="counter")
+        shuffled = ScalarCounterExcessTokens(network, load, seed=5, rng_mode="counter")
         for round_index in range(5):
             scores_a = reference._counter_scores(round_index)
             scores_b = shuffled._counter_scores(round_index)
@@ -114,10 +152,10 @@ class TestOrderFreeDraws:
             "ring": lambda: topologies.cycle(12),
         }[topology]()
         load = workload(network)
-        scalar = ExcessTokenDiffusion(network, load, seed=9, rng_mode="counter",
-                                      strategy=strategy)
-        vectorized = ArrayExcessTokenDiffusion(network, load, seed=9,
-                                               strategy=strategy)
+        scalar = ScalarCounterExcessTokens(network, load, seed=9, rng_mode="counter",
+                                           strategy=strategy)
+        vectorized = ExcessTokenDiffusion(network, load, seed=9, rng_mode="counter",
+                                          strategy=strategy)
         for round_index in range(40):
             scalar.advance()
             vectorized.advance()
@@ -125,34 +163,33 @@ class TestOrderFreeDraws:
                 f"{topology}/{strategy} diverged at round {round_index}")
         assert scalar.went_negative == vectorized.went_negative
 
-    def test_vectorized_kernel_requires_counter_mode(self):
-        network = topologies.cycle(5)
-        with pytest.raises(ProcessError):
-            ArrayExcessTokenDiffusion(network, [2] * 5, rng_mode="sequential")
-
 
 class TestEnginePlumbing:
-    def test_counter_mode_selects_vectorized_kernel_on_array_backend(self):
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_rng_mode_reaches_the_baseline(self, backend):
         network = topologies.torus(4, dims=2)
         balancer = make_balancer("excess-tokens", network,
                                  initial_load=workload(network),
-                                 seed=3, backend="array", rng_mode="counter")
-        assert isinstance(balancer, ArrayExcessTokenDiffusion)
+                                 seed=3, backend=backend, rng_mode="counter")
+        assert type(balancer) is ExcessTokenDiffusion
+        assert balancer.rng_mode == "counter"
         sequential = make_balancer("excess-tokens", network,
                                    initial_load=workload(network),
-                                   seed=3, backend="array")
-        assert not isinstance(sequential, ArrayExcessTokenDiffusion)
+                                   seed=3, backend=backend)
+        assert type(sequential) is ExcessTokenDiffusion
+        assert sequential.rng_mode == "sequential"
 
-    def test_run_algorithm_reports_scalar_fallback_reason(self):
+    def test_run_algorithm_reports_backend_reason(self):
         network = topologies.torus(4, dims=2)
         result = run_algorithm("excess-tokens", network,
                                initial_load=workload(network), rounds=5, seed=3)
         assert result.extra["backend"] == "array"
-        assert "counter" in result.extra["backend_reason"]
+        assert "share one integer-vector implementation" in result.extra["backend_reason"]
         counter = run_algorithm("excess-tokens", network,
                                 initial_load=workload(network), rounds=5, seed=3,
                                 rng_mode="counter")
         assert counter.extra["backend"] == "array"
+        assert "counter" in counter.extra["backend_reason"]
 
     def test_counter_recouple_equals_fresh_build(self):
         network = topologies.torus(4, dims=2)

@@ -8,16 +8,19 @@ import pytest
 from repro.continuous.dimension_exchange import DimensionExchange
 from repro.continuous.fos import FirstOrderDiffusion
 from repro.continuous.sos import SecondOrderDiffusion
+from repro.discrete.baselines.diffusion import RoundDownSecondOrder
 from repro.exceptions import ExperimentError
 from repro.network import topologies
 from repro.simulation.engine import (
     compare_algorithms,
     determine_balancing_time,
+    make_balancer,
     make_continuous,
     make_schedule,
     run_algorithm,
 )
 from repro.tasks.generators import point_load, weighted_assignment
+from repro.tasks.load import max_min_discrepancy
 
 
 @pytest.fixture
@@ -101,6 +104,32 @@ class TestRunAlgorithm:
         with pytest.raises(ExperimentError):
             run_algorithm("matching-round-down", torus, initial_load=load,
                           continuous_kind="fos")
+
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_round_down_on_sos_runs_the_second_order_scheme(self, backend):
+        """round-down on SOS is Elsässer & Monien's discrete SOS, not first order."""
+        network = topologies.torus(8, dims=2)
+        load = point_load(network, 8 * 64)
+        balancer = make_balancer("round-down", network, initial_load=load,
+                                 continuous_kind="sos", backend=backend)
+        assert type(balancer) is RoundDownSecondOrder
+        result = run_algorithm("round-down", network, initial_load=load,
+                               continuous_kind="sos", rounds=20,
+                               record_trace=True, backend=backend)
+        oracle = RoundDownSecondOrder(network, load)
+        trace = [max_min_discrepancy(oracle.loads(), network)]
+        for _ in range(20):
+            oracle.advance()
+            trace.append(max_min_discrepancy(oracle.loads(), network))
+        assert result.continuous_kind == "sos"
+        assert result.trace_max_min == trace
+
+    @pytest.mark.parametrize("algorithm", ["quasirandom", "randomized-rounding",
+                                           "excess-tokens"])
+    def test_first_order_baselines_reject_sos(self, torus, load, algorithm):
+        with pytest.raises(ExperimentError, match="continuous_kind 'fos'"):
+            run_algorithm(algorithm, torus, initial_load=load,
+                          continuous_kind="sos", rounds=5, seed=1)
 
     def test_non_integer_load_rejected_for_tokens(self, torus):
         load = np.full(16, 1.5)
