@@ -12,7 +12,10 @@ Two recovery paths are measured against their fault-free baselines:
   "killed" at a mid-run snapshot, and resumed to the horizon.  The resumed
   trajectory must be bit-identical to the uninterrupted run; the overhead
   row compares checkpointed-run and resume wall-clock against the plain
-  stream.
+  stream, and records the first and last per-write milliseconds.  The
+  ``full`` scale repeats this at 200 to 3 200 rounds: with the append-only
+  event log a write costs the same late in a run as early, so the overhead
+  stays flat along the curve.  The ``smoke`` scale asserts identity only.
 
 Rows are written to ``BENCH_fault_recovery.json`` at the repository root.
 Run directly for the CI smoke check::
@@ -24,6 +27,7 @@ Run directly for the CI smoke check::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import sys
 import time
@@ -31,6 +35,7 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro.checkpoint as checkpoint_module  # noqa: E402
 from repro.checkpoint import read_checkpoint, resume_stream  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
 from repro.simulation.experiments import format_table  # noqa: E402
@@ -48,10 +53,13 @@ from repro.store import write_benchmark_record  # noqa: E402
 
 RECORD_PATH = REPO_ROOT / "BENCH_fault_recovery.json"
 
-#: Scales: (grid cells, nodes, rounds, checkpoint cadence).
+#: Scales: grid cells, nodes, grid-cell rounds, checkpoint cadence, and the
+#: run lengths of the checkpoint rows.
 SCALES = {
-    "full": {"cells": 8, "nodes": 256, "rounds": 200, "cadence": 25},
-    "smoke": {"cells": 4, "nodes": 32, "rounds": 40, "cadence": 10},
+    "full": {"cells": 8, "nodes": 256, "rounds": 200, "cadence": 25,
+             "checkpoint_rounds": (200, 400, 800, 1600, 3200)},
+    "smoke": {"cells": 4, "nodes": 32, "rounds": 40, "cadence": 10,
+              "checkpoint_rounds": (40,)},
 }
 
 
@@ -109,54 +117,97 @@ def grid_recovery_rows(scale: str, workers: int):
     }]
 
 
-def checkpoint_recovery_rows(scale: str, tmp_dir: pathlib.Path):
-    spec = SCALES[scale]
+@contextlib.contextmanager
+def timed_writes():
+    """Collect the seconds of each checkpoint write (snapshot + serialise).
+
+    ``run_stream`` looks both functions up on ``repro.checkpoint`` at each
+    snapshot, so replacing the module attributes times every write.
+    """
+    seconds = []
+    snapshot, write = (checkpoint_module.checkpoint_engine,
+                       checkpoint_module.write_checkpoint)
+
+    def timed_snapshot(*args, **kwargs):
+        start = time.perf_counter()
+        value = snapshot(*args, **kwargs)
+        seconds.append(time.perf_counter() - start)
+        return value
+
+    def timed_write(*args, **kwargs):
+        start = time.perf_counter()
+        value = write(*args, **kwargs)
+        seconds[-1] += time.perf_counter() - start
+        return value
+
+    checkpoint_module.checkpoint_engine = timed_snapshot
+    checkpoint_module.write_checkpoint = timed_write
+    try:
+        yield seconds
+    finally:
+        checkpoint_module.checkpoint_engine = snapshot
+        checkpoint_module.write_checkpoint = write
+
+
+def checkpoint_recovery_row(spec, rounds: int, tmp_dir: pathlib.Path):
+    """One checkpoint/resume row: a ``rounds``-round stream, killed halfway."""
+    cadence = spec["cadence"]
     scenario = DynamicScenario(
         name="recover-stream", algorithm="randomized-rounding",
         topology="torus", num_nodes=spec["nodes"], tokens_per_node=8,
-        events="mixed", rounds=spec["rounds"], seed=11, rng_mode="counter")
+        events="mixed", rounds=rounds, seed=11, rng_mode="counter")
 
     start = time.perf_counter()
-    baseline = run_dynamic_scenario(scenario)
+    baseline = run_dynamic_scenario(scenario).trace_max_min
     plain_wall = time.perf_counter() - start
 
     # checkpoint every `cadence` rounds; simulate a crash by resuming from
     # a snapshot taken mid-run rather than the final one
-    mid_path = tmp_dir / "mid.checkpoint.json"
-    final_path = tmp_dir / "final.checkpoint.json"
-    kill_round = (spec["rounds"] // (2 * spec["cadence"])) * spec["cadence"]
+    mid_path = tmp_dir / f"mid-{rounds}.checkpoint.json"
+    final_path = tmp_dir / f"final-{rounds}.checkpoint.json"
+    kill_round = (rounds // (2 * cadence)) * cadence
     killed = DynamicScenario(**{**scenario.to_dict(), "rounds": kill_round})
-    run_dynamic_scenario(killed, checkpoint_every=spec["cadence"],
+    run_dynamic_scenario(killed, checkpoint_every=cadence,
                          checkpoint_path=mid_path)
 
-    start = time.perf_counter()
-    checkpointed = run_dynamic_scenario(scenario,
-                                        checkpoint_every=spec["cadence"],
-                                        checkpoint_path=final_path)
-    checkpointed_wall = time.perf_counter() - start
-    assert checkpointed.trace_max_min == baseline.trace_max_min, (
+    with timed_writes() as writes:
+        start = time.perf_counter()
+        checkpointed = run_dynamic_scenario(scenario, checkpoint_every=cadence,
+                                            checkpoint_path=final_path)
+        checkpointed_wall = time.perf_counter() - start
+    assert checkpointed.trace_max_min == baseline, (
         "checkpointing changed the trajectory")
+    del checkpointed
 
     checkpoint = read_checkpoint(mid_path)
     assert checkpoint.round_index == kill_round
     start = time.perf_counter()
-    resumed = resume_stream(checkpoint, rounds=spec["rounds"])
+    resumed = resume_stream(checkpoint, rounds=rounds)
     resume_wall = time.perf_counter() - start
-    assert resumed.trace_max_min == baseline.trace_max_min, (
+    assert resumed.trace_max_min == baseline, (
         f"resume from round {kill_round} diverged from the "
         f"uninterrupted stream")
 
-    return [{
+    return {
         "path": "checkpoint",
-        "rounds": spec["rounds"],
-        "cadence": spec["cadence"],
+        "rounds": rounds,
+        "cadence": cadence,
         "kill_round": kill_round,
+        "writes": len(writes),
         "plain_seconds": round(plain_wall, 4),
         "checkpointed_seconds": round(checkpointed_wall, 4),
         "checkpoint_overhead_x": round(checkpointed_wall / plain_wall, 2),
+        "write_ms_first": round(1e3 * writes[0], 2),
+        "write_ms_last": round(1e3 * writes[-1], 2),
         "resume_seconds": round(resume_wall, 4),
         "identical": True,
-    }]
+    }
+
+
+def checkpoint_recovery_rows(scale: str, tmp_dir: pathlib.Path):
+    spec = SCALES[scale]
+    return [checkpoint_recovery_row(spec, rounds, tmp_dir)
+            for rounds in spec["checkpoint_rounds"]]
 
 
 def run_benchmark(scale: str, workers: int, tmp_dir: pathlib.Path):

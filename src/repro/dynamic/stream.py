@@ -46,13 +46,18 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import networkx as nx
 import numpy as np
 
-from ..backend import resolve_backend
 from ..core.flow_imitation import FlowCoupledBalancer, TaskSelectionPolicy
 from ..exceptions import ExperimentError
 from ..obs.bus import MetricsBus
 from ..obs.probe import RoundProbe
 from ..network.graph import Network
-from ..simulation.engine import ALL_ALGORITHMS, CONTINUOUS_KINDS, make_balancer, make_schedule
+from ..simulation.engine import (
+    ALL_ALGORITHMS,
+    CONTINUOUS_KINDS,
+    make_balancer,
+    make_schedule,
+    resolve_algorithm_backend,
+)
 from ..simulation.results import RunResult
 from ..tasks.assignment import TaskAssignment
 from ..tasks.load import max_avg_discrepancy, max_min_discrepancy, quadratic_potential
@@ -134,8 +139,8 @@ class StreamingEngine:
         # Unit-token streams resolve "auto" to the vectorised count-vector
         # backend; weighted streams to the columnar weight-bucket backend.
         # Either way the backends are trajectory-identical.
-        choice = resolve_backend(backend, weighted=weighted, algorithm=algorithm,
-                                 rng_mode=rng_mode)
+        choice = resolve_algorithm_backend(backend, algorithm, rng_mode,
+                                           weighted=weighted)
         self._backend = choice.name
         self._backend_reason = choice.reason
         self._base_name = network.name
@@ -152,15 +157,14 @@ class StreamingEngine:
         self._graph.add_nodes_from(range(network.num_nodes))
         self._graph.add_edges_from(network.edges)
         self._tokens: Dict[int, int] = {
-            node: int(round(loads[node])) for node in network.nodes}
+            node: int(round(load)) for node, load in enumerate(loads.tolist())}
         # Weighted streams additionally track {weight: count} buckets per
         # label; ``_tokens`` then holds the total real *weight* per label.
         self._buckets: Dict[int, Dict[int, int]] = {}
         if self._weighted:
             for node in network.nodes:
                 self._buckets[node] = dict(weighted.node_buckets(node))
-        self._speeds: Dict[int, float] = {
-            node: float(network.speeds[node]) for node in network.nodes}
+        self._speeds: Dict[int, float] = dict(enumerate(network.speeds.tolist()))
         self._next_label = network.num_nodes
 
         self._round = 0
@@ -177,6 +181,9 @@ class StreamingEngine:
         self._used_infinite_source = False
         self._went_negative = False
         self._timeline: List[Dict[str, object]] = []
+        # Checkpoint event log: one {"records", "head", "bytes"} reference
+        # per segment of the timeline sealed by a snapshot (see state_dict).
+        self._timeline_log: List[Dict[str, object]] = []
         # Checkpoint support: snapshot of the stable-label state at the last
         # coupling boundary plus the number of plain (event-free) rounds
         # advanced since — everything after the boundary is deterministic
@@ -302,7 +309,21 @@ class StreamingEngine:
         replays the post-boundary rounds, so the pair round-trips the engine
         bit-identically at *any* round — no balancer internals need to be
         serialised.
+
+        The timeline is a shallow list of the (never mutated) records.  Each
+        call seals the records added since the previous call into the next
+        event-log segment (:func:`repro.checkpoint.seal_segment`):
+        ``timeline_log`` is the chain of segment references so far and
+        ``timeline_segment`` the framed text of the segment this call sealed
+        (``None`` if there were no new records), so a checkpoint write
+        encodes each record once.
         """
+        # imported here: repro.checkpoint imports this module
+        from ..checkpoint import seal_segment
+
+        sealed = seal_segment(self._timeline, self._timeline_log)
+        if sealed is not None:
+            self._timeline_log.append(sealed[0])
         return {
             "round": self._round,
             "recouplings": self._recouplings,
@@ -328,7 +349,9 @@ class StreamingEngine:
                          "buckets": (self._boundary["buckets"]
                                      if self._weighted else None),
                          "rounds_since": self._rounds_since_boundary},
-            "timeline": self.timeline,
+            "timeline": list(self._timeline),
+            "timeline_log": list(self._timeline_log),
+            "timeline_segment": None if sealed is None else sealed[1],
             "generator": self._generator.state_dict(),
         }
 
@@ -395,7 +418,8 @@ class StreamingEngine:
         engine._dummy_tokens = int(state["dummy_tokens"])
         engine._used_infinite_source = bool(state["used_infinite_source"])
         engine._went_negative = bool(state["went_negative"])
-        engine._timeline = [dict(entry) for entry in state["timeline"]]
+        engine._timeline = list(state["timeline"])
+        engine._timeline_log = list(state.get("timeline_log") or ())
 
         engine._network = None
         engine._balancer = None
@@ -448,8 +472,10 @@ class StreamingEngine:
         speeds = [self._speeds[label] for label in labels]
         # Network relabels the (sorted, stable) labels to 0..n-1 itself and
         # keeps the originals in ``node_labels`` — the index -> stable-label
-        # mapping the StreamView contract promises to generators.
-        network = Network(self._graph.copy(), speeds=speeds,
+        # mapping the StreamView contract promises to generators.  The
+        # relabelled graph it keeps is a new one, so later edits of
+        # ``self._graph`` never reach the network and no copy is needed.
+        network = Network(self._graph, speeds=speeds,
                           name=f"{self._base_name}+dynamic")
         workload = self._current_workload()
 

@@ -19,7 +19,7 @@ else, an injected run is reproducible at any worker count.
 
 :func:`random_fault_plan` draws a plan from a seed (for the recovery
 benchmark's randomized campaigns); :func:`truncate_checkpoint` damages a
-checkpoint file in place to exercise the corrupt-checkpoint path.
+checkpoint's snapshot file in place to exercise the corrupt-checkpoint path.
 
 Fault plans are test/benchmark instruments.  Never attach one to a
 production run: a kill fault in a ``workers=1`` (in-process) grid takes the
@@ -124,13 +124,15 @@ def random_fault_plan(num_cells: int, seed: int,
 
 def truncate_checkpoint(path: Union[str, pathlib.Path],
                         keep_fraction: float = 0.5) -> pathlib.Path:
-    """Damage a checkpoint file in place by cutting off its tail.
+    """Damage a checkpoint's snapshot file in place by cutting off its tail.
 
-    Keeps the first ``keep_fraction`` of the file's bytes — simulating a
-    crash mid-write on a filesystem without atomic rename — so tests can
+    Keeps the first ``keep_fraction`` of the snapshot's bytes — simulating
+    a crash mid-write on a filesystem without atomic rename — so tests can
     assert :func:`repro.checkpoint.read_checkpoint` rejects it with
     :class:`~repro.exceptions.CheckpointError` instead of resuming from
-    garbage.
+    garbage.  The event log next to it (``path + ".events"``) is left
+    untouched; a torn log tail past the snapshot's head is not damage, since
+    reading ignores it.
     """
     if not 0.0 <= keep_fraction < 1.0:
         raise ValueError("keep_fraction must be in [0, 1)")

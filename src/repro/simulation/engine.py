@@ -57,6 +57,7 @@ __all__ = [
     "ALL_ALGORITHMS",
     "BACKEND_KINDS",
     "RNG_MODES",
+    "resolve_algorithm_backend",
     "make_schedule",
     "make_continuous",
     "make_balancer",
@@ -83,6 +84,25 @@ _DIFFUSION_CLASSES = {
 }
 #: The diffusion baselines that draw randomness (and so take an rng mode).
 _RANDOMIZED_DIFFUSION = ("randomized-rounding", "excess-tokens")
+
+
+def resolve_algorithm_backend(backend: str, algorithm: str, rng_mode: str,
+                              assignment: Optional[TaskAssignment] = None,
+                              weighted: Optional[WeightedLoads] = None) -> BackendChoice:
+    """:func:`resolve_backend` with the reason recorded for ``algorithm``'s run.
+
+    Every baseline is one class on both backends, so a baseline's reason
+    says what actually runs rather than what was resolved.  Static runs and
+    dynamic streams both record this reason.
+    """
+    choice = resolve_backend(backend, assignment=assignment, weighted=weighted,
+                             algorithm=algorithm, rng_mode=rng_mode)
+    if algorithm in FLOW_IMITATION_ALGORITHMS:
+        return choice
+    reason = "baselines share one integer-vector implementation across backends"
+    if rng_mode == "counter" and algorithm in _RANDOMIZED_DIFFUSION:
+        reason += ", order-free counter rng"
+    return BackendChoice(choice.name, reason)
 
 
 def make_schedule(continuous_kind: str, network: Network,
@@ -367,9 +387,9 @@ def run_algorithm(
         reference_load = np.asarray(initial_load, dtype=float)
     original_weight = float(reference_load.sum())
 
-    choice = resolve_backend(backend, assignment=assignment,
-                             weighted=weighted_load, algorithm=algorithm,
-                             rng_mode=rng_mode)
+    choice = resolve_algorithm_backend(backend, algorithm, rng_mode,
+                                       assignment=assignment,
+                                       weighted=weighted_load)
     if is_flow_imitation:
         # Pass the already-resolved concrete backend so the object path does
         # not repeat the per-task integer-weight scan of the resolution.
@@ -392,12 +412,6 @@ def run_algorithm(
                                  schedule=schedule, seed=seed, backend=backend,
                                  rng_mode=rng_mode)
         w_max = 1.0
-        # Every baseline is one class on both backends: report what actually
-        # ran, not just what was resolved.
-        reason = "baselines share one integer-vector implementation across backends"
-        if rng_mode == "counter" and algorithm in _RANDOMIZED_DIFFUSION:
-            reason += ", order-free counter rng"
-        choice = BackendChoice(choice.name, reason)
 
     probe: Optional[RoundProbe] = None
     if bus is not None:

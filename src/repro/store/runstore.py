@@ -56,11 +56,18 @@ __all__ = [
 PathLike = Union[str, pathlib.Path]
 
 
+#: Types ``_jsonify`` returns unchanged (exact types: numpy scalars subclass some).
+_PLAIN_TYPES = frozenset({float, int, str, bool, type(None)})
+
+
 def _jsonify(value):
     """Recursively convert numpy scalars/arrays so ``json.dumps`` succeeds."""
     if isinstance(value, dict):
         return {str(key): _jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
+        # traces are long lists of plain floats: copy them without a call per item
+        if all(type(item) in _PLAIN_TYPES for item in value):
+            return list(value)
         return [_jsonify(item) for item in value]
     if isinstance(value, np.ndarray):
         return [_jsonify(item) for item in value.tolist()]
@@ -301,10 +308,18 @@ def record_run(store: RunStore, label: str, kind: str,
                timing: Optional[Dict[str, object]] = None,
                git_root: Optional[PathLike] = None) -> RunRecord:
     """Build and append one record for a finished run (the common case)."""
+    return _append_record(store, label, kind, config, seeds, result, timing,
+                          git_revision(git_root))
+
+
+def _append_record(store: RunStore, label: str, kind: str,
+                   config: Dict[str, object], seeds: Iterable[int],
+                   result: Optional[RunResult], timing: Optional[Dict[str, object]],
+                   git_rev: Optional[str]) -> RunRecord:
     record = RunRecord(
         label=label, kind=kind, config=_jsonify(config),
         seeds=[int(seed) for seed in seeds],
-        git_rev=git_revision(git_root),
+        git_rev=git_rev,
         result=None if result is None else result_payload(result),
         timing=_jsonify(timing or {}),
     )
@@ -327,6 +342,7 @@ def record_sweep_outcomes(store: RunStore, label: str, outcomes,
     back for hot-kernel tables and stored-trace conversion.
     """
     records = []
+    git_rev = git_revision(git_root)  # one subprocess per call, not per cell
     for outcome in outcomes:
         cell = outcome.cell
         config = {**asdict(cell.spec), "seed": cell.seed,
@@ -342,11 +358,8 @@ def record_sweep_outcomes(store: RunStore, label: str, outcomes,
             from ..obs.trace import cell_trace_summary
 
             timing["trace"] = cell_trace_summary(outcome.events)
-        records.append(record_run(
+        records.append(_append_record(
             store, label, cell.kind, config,
-            seeds=[] if cell.seed is None else [cell.seed],
-            result=outcome.result,
-            timing=timing,
-            git_root=git_root,
-        ))
+            [] if cell.seed is None else [cell.seed],
+            outcome.result, timing, git_rev))
     return records

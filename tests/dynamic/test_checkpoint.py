@@ -11,6 +11,7 @@ from repro.checkpoint import (
     CHECKPOINT_VERSION,
     StreamCheckpoint,
     checkpoint_engine,
+    event_log_path,
     read_checkpoint,
     restore_engine,
     resume_stream,
@@ -237,3 +238,154 @@ class TestCheckpointValidation:
         scenario = _scenario(rounds=6)
         with pytest.raises(ExperimentError, match="checkpoint_path"):
             run_dynamic_scenario(scenario, checkpoint_every=2)
+
+
+def _segments(data):
+    """Split event-log bytes into (head, payload) pairs."""
+    segments, offset = [], 0
+    while offset < len(data):
+        header_end = data.index(b"\n", offset)
+        head, size = data[offset:header_end].decode("ascii").split(" ")
+        end = header_end + 1 + int(size)
+        segments.append((head, data[header_end + 1:end]))
+        offset = end + 1
+    return segments
+
+
+class TestEventLog:
+    """The append-only event log next to each snapshot."""
+
+    def _crash_after_append(self, tmp_path, torn):
+        """A cadence-5 run whose write at round 15 died after its log append."""
+        scenario = _scenario(rounds=20)
+        path = tmp_path / "crash.json"
+        run_dynamic_scenario(_scenario(rounds=10), checkpoint_every=5,
+                             checkpoint_path=path)
+        committed = path.read_bytes()
+        committed_log = event_log_path(path).stat().st_size
+        resume_stream(path, rounds=15, checkpoint_every=5)
+        path.write_bytes(committed)  # the snapshot rename never happened
+        if torn:
+            grown = event_log_path(path).stat().st_size
+            with open(event_log_path(path), "rb+") as handle:
+                handle.truncate(committed_log + (grown - committed_log) // 2)
+        assert event_log_path(path).stat().st_size > committed_log
+        return scenario, path
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_bytes_after_the_snapshot_head_are_ignored(self, tmp_path, torn):
+        scenario, path = self._crash_after_append(tmp_path, torn)
+        checkpoint = read_checkpoint(path)
+        assert checkpoint.round_index == 10
+        baseline = run_dynamic_scenario(scenario)
+        assert checkpoint.state["timeline"] == [
+            record for record in baseline.event_timeline if record["round"] < 10]
+        resumed = resume_stream(checkpoint, rounds=20)
+        assert resumed.trace_max_min == baseline.trace_max_min
+        assert resumed.event_timeline == baseline.event_timeline
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_next_write_cuts_stray_bytes_and_continues_the_chain(self, tmp_path,
+                                                                 torn):
+        scenario, path = self._crash_after_append(tmp_path, torn)
+        resume_stream(path, rounds=20, checkpoint_every=5)
+        uninterrupted = tmp_path / "uninterrupted.json"
+        run_dynamic_scenario(scenario, checkpoint_every=5,
+                             checkpoint_path=uninterrupted)
+        assert event_log_path(path).read_bytes() == event_log_path(uninterrupted).read_bytes()
+        final = read_checkpoint(path)
+        assert final.round_index == 20
+        assert final.state["timeline"] == read_checkpoint(
+            uninterrupted).state["timeline"]
+
+    def _written_run(self, tmp_path):
+        path = tmp_path / "run.json"
+        run_dynamic_scenario(_scenario(rounds=15), checkpoint_every=5,
+                             checkpoint_path=path)
+        assert len(_segments(event_log_path(path).read_bytes())) == 3
+        return path
+
+    def test_flipped_byte_in_an_earlier_segment_rejected(self, tmp_path):
+        path = self._written_run(tmp_path)
+        data = bytearray(event_log_path(path).read_bytes())
+        first_payload = data.index(b"\n") + 10
+        data[first_payload] ^= 0x01
+        event_log_path(path).write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="hash chain|corrupt"):
+            read_checkpoint(path)
+
+    def test_log_shorter_than_the_head_rejected(self, tmp_path):
+        path = self._written_run(tmp_path)
+        size = event_log_path(path).stat().st_size
+        with open(event_log_path(path), "rb+") as handle:
+            handle.truncate(size - 1)
+        with pytest.raises(CheckpointError, match="shorter"):
+            read_checkpoint(path)
+
+    def test_missing_log_rejected(self, tmp_path):
+        path = self._written_run(tmp_path)
+        event_log_path(path).unlink()
+        with pytest.raises(CheckpointError, match="event log"):
+            read_checkpoint(path)
+
+    def test_other_run_on_an_existing_path_writes_a_fresh_log(self, tmp_path):
+        path = self._written_run(tmp_path)
+        other = _scenario(rounds=10, seed=29)
+        run_dynamic_scenario(other, checkpoint_every=5, checkpoint_path=path)
+        alone = tmp_path / "alone" / "other.json"
+        run_dynamic_scenario(other, checkpoint_every=5, checkpoint_path=alone)
+        assert event_log_path(path).read_bytes() == event_log_path(alone).read_bytes()
+        checkpoint = read_checkpoint(path)
+        assert checkpoint.round_index == 10
+        assert checkpoint.state["timeline"] == run_dynamic_scenario(
+            other).event_timeline
+        assert not list(tmp_path.glob("*.tmp")), "temp files must not leak"
+
+    def test_resume_to_a_new_path_rebuilds_the_same_log(self, tmp_path):
+        scenario = _scenario(rounds=20)
+        crashed = tmp_path / "crashed.json"
+        run_dynamic_scenario(_scenario(rounds=10), checkpoint_every=5,
+                             checkpoint_path=crashed)
+        resumed = tmp_path / "resumed.json"
+        resume_stream(crashed, rounds=20, checkpoint_every=5,
+                      checkpoint_path=resumed)
+        full = tmp_path / "full.json"
+        run_dynamic_scenario(scenario, checkpoint_every=5, checkpoint_path=full)
+        assert event_log_path(resumed).read_bytes() == event_log_path(full).read_bytes()
+
+    def test_write_cost_does_not_grow_with_history(self, tmp_path):
+        """Each write adds exactly its new records; the snapshot stays flat."""
+        scenario = _scenario(rounds=40, events="poisson")
+        path = tmp_path / "flat.json"
+        engine = _build_engine(scenario)
+        trace = [engine.current_discrepancy()]
+        totals = [float(engine.total_real_load())]
+        timeline_before, log_before, log_inode, rests = 0, b"", None, []
+        for _ in range(8):
+            for _ in range(5):
+                engine.step()
+                trace.append(engine.current_discrepancy())
+                totals.append(float(engine.total_real_load()))
+            write_checkpoint(checkpoint_engine(engine, total_rounds=40,
+                                               trace=trace, totals=totals),
+                             path)
+            log = event_log_path(path).read_bytes()
+            assert log.startswith(log_before), "the log is append-only"
+            inode = event_log_path(path).stat().st_ino
+            assert not log_before or inode == log_inode, \
+                "a write of the same run appends in place, it never rewrites"
+            log_inode = inode
+            timeline = engine.timeline
+            added = _segments(log[len(log_before):])
+            assert len(added) == 1
+            assert json.loads(added[0][1]) == timeline[timeline_before:]
+            snapshot = json.loads(path.read_text())
+            assert snapshot["state"]["timeline"]["records"] == len(timeline)
+            trace_bytes = sum(len(canonical_json(snapshot[name]))
+                              for name in ("trace_max_min",
+                                           "trace_total_weight"))
+            rests.append(path.stat().st_size - trace_bytes)
+            timeline_before, log_before = len(timeline), log
+        assert timeline_before > 40
+        # token counts may change their digit count; nothing else grows
+        assert max(rests) - min(rests) <= 32, rests

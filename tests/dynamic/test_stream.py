@@ -21,6 +21,12 @@ from repro.dynamic.events import (
 from repro.dynamic.stream import StreamingEngine, run_stream
 from repro.exceptions import ExperimentError
 from repro.network import topologies
+from repro.simulation.engine import (
+    DIFFUSION_BASELINES,
+    MATCHING_BASELINES,
+    RNG_MODES,
+    run_algorithm,
+)
 from repro.tasks.generators import uniform_random_load
 
 
@@ -242,3 +248,27 @@ class TestDeterminism:
         row = result.as_dict()
         assert row["events"] == len(result.event_timeline)
         assert "recouplings" in row
+
+
+class TestBackendReason:
+    """Streams and static runs record one backend reason per algorithm."""
+
+    CASES = [(algorithm, "fos") for algorithm in DIFFUSION_BASELINES] + [
+        ("round-down", "sos")] + [
+        (algorithm, "periodic-matching") for algorithm in MATCHING_BASELINES]
+
+    @pytest.mark.parametrize("rng_mode", RNG_MODES)
+    @pytest.mark.parametrize("algorithm,continuous_kind", CASES)
+    def test_stream_reason_matches_run_algorithm(self, algorithm,
+                                                 continuous_kind, rng_mode):
+        network, load = torus_instance()
+        static = run_algorithm(algorithm, network, initial_load=load,
+                               continuous_kind=continuous_kind, rounds=2,
+                               seed=5, rng_mode=rng_mode)
+        stream = run_stream(algorithm, network, load, ScheduledEvents({}),
+                            rounds=2, continuous_kind=continuous_kind, seed=5,
+                            rng_mode=rng_mode)
+        assert stream.extra["backend"] == static.extra["backend"]
+        assert stream.extra["backend_reason"] == static.extra["backend_reason"]
+        assert "share one integer-vector implementation" in \
+            stream.extra["backend_reason"]

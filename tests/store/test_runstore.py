@@ -242,6 +242,35 @@ class TestRecordSweepOutcomes:
         assert failure["kind"] == "error"
         assert failure["attempts"] == 2
 
+    def test_revision_resolved_once_per_call(self, tmp_path, monkeypatch):
+        import repro.store.runstore as runstore
+
+        configuration = SweepConfiguration(
+            algorithm="round-down", topology="cycle", num_nodes=8,
+            tokens_per_node=4)
+        _, outcomes = grid_sweep_with_outcomes([configuration], seeds=[1, 2, 3])
+        revision = runstore.git_revision()
+        calls = []
+
+        def counted(root=None):
+            calls.append(root)
+            return revision
+
+        monkeypatch.setattr(runstore, "git_revision", counted)
+        records = record_sweep_outcomes(RunStore(tmp_path / "once.jsonl"),
+                                        "once", outcomes)
+        assert len(records) == 3 and len(calls) == 1
+        assert all(record.git_rev == revision for record in records)
+        # identical to the records record_run builds one by one
+        single = record_run(RunStore(tmp_path / "single.jsonl"), "once",
+                            records[0].kind, records[0].config,
+                            seeds=records[0].seeds,
+                            result=outcomes[0].result,
+                            timing=records[0].timing)
+        assert single.git_rev == records[0].git_rev
+        assert single.config_hash == records[0].config_hash
+        assert single.result == records[0].result
+
 
 class TestBenchWriter:
     def test_writes_historical_payload_shape(self, tmp_path):
